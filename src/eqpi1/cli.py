@@ -170,11 +170,13 @@ def cmd_realize(args) -> int:
     else:
         build.verdict = Verdict.verified("syntactic")
 
-    report.add(Report("complex validation", validate_complex(space)))
+    validation = validate_complex(space)
+    report.add(Report("complex validation", validation))
 
-    hom = report.add(Report("homology"))
-    for line in _homology_lines(space, max_dim=args.max_dim):
-        hom.say(line)
+    if not validation.is_refuted:
+        hom = report.add(Report("homology"))
+        for line in _homology_lines(space, max_dim=args.max_dim):
+            hom.say(line)
 
     if args.max_dim >= 2:
         check = verify_fundamental_functor(functor, result)
@@ -199,8 +201,9 @@ def cmd_homology(args) -> int:
     doc = _load(args.file)
     name, x = _pick("complex", doc.complexes, args.complex)
     report = Report(f"homology {name}", validate_complex(x))
-    for line in _homology_lines(x, max_dim=args.max_dim):
-        report.say(line)
+    if not report.verdict.is_refuted:
+        for line in _homology_lines(x, max_dim=args.max_dim):
+            report.say(line)
     _emit(report, args.format)
     return report.exit_code(args.strict)
 

@@ -35,7 +35,7 @@ from .groupoids import (
     invert_letters,
     rotation_equal,
 )
-from .intlinalg import HomologyGroup, IntMatrix, homology
+from .intlinalg import SparseMatrix, homology
 from .verdicts import LEVEL_SYNTACTIC, Verdict, combine
 
 
@@ -329,42 +329,32 @@ def validate_complex(x: GCellComplex) -> Verdict:
 
 
 def boundary_matrices(x: GCellComplex, max_dim: int = 3):
+    """Sparse matrices of d1 .. d_max_dim; row and column indices follow
+    the order of the cells in x."""
     v_idx = {v: i for i, v in enumerate(x.vertices)}
     e_idx = {e.label: i for i, e in enumerate(x.edges)}
     f_idx = {f.label: i for i, f in enumerate(x.faces)}
-
-    d1_cols = []
-    for e in x.edges:
-        col = [0] * len(x.vertices)
-        col[v_idx[e.target]] += 1
-        col[v_idx[e.source]] -= 1
-        d1_cols.append(col)
-    d1 = IntMatrix.from_columns(d1_cols, nrows=len(x.vertices))
-
-    d2_cols = []
-    for f in x.faces:
-        col = [0] * len(x.edges)
-        for lab, exp in f.word.letters:
-            col[e_idx[lab]] += exp
-        d2_cols.append(col)
-    d2 = IntMatrix.from_columns(d2_cols, nrows=len(x.edges))
-
-    d3_cols = []
-    for s in x.solids:
-        col = [0] * len(x.faces)
-        for coef, lab in s.chain:
-            col[f_idx[lab]] += coef
-        d3_cols.append(col)
-    d3 = IntMatrix.from_columns(d3_cols, nrows=len(x.faces))
-
-    mats = [d1, d2, d3]
+    mats = [
+        SparseMatrix.from_terms(
+            (((v_idx[e.target], 1), (v_idx[e.source], -1)) for e in x.edges),
+            len(x.vertices),
+        ),
+        SparseMatrix.from_terms(
+            (((e_idx[lab], exp) for lab, exp in f.word.letters) for f in x.faces),
+            len(x.edges),
+        ),
+        SparseMatrix.from_terms(
+            (((f_idx[lab], coef) for coef, lab in s.chain) for s in x.solids),
+            len(x.faces),
+        ),
+    ]
     return mats[:max_dim]
 
 
 def homology_of_complex(x: GCellComplex, max_dim: int = 3):
-    """Integral homology H_0..H_max_dim with generating chains."""
-    groups = homology(boundary_matrices(x, max_dim=max_dim))
-    return groups
+    """Integral homology H_0..H_max_dim; generating chains are computed
+    when first read."""
+    return homology(boundary_matrices(x, max_dim=max_dim))
 
 
 def cell_names(x: GCellComplex, dim: int):

@@ -2,13 +2,16 @@
 
 Everything here runs on arbitrary-precision Python ints: Smith normal form
 with unimodular transformation certificates, integer kernels and exact
-solving, finitely generated abelian group invariants, and chain-complex
-homology with generator provenance.  No floating point anywhere.
+solving, finitely generated abelian group invariants, sparse boundary
+matrices, and chain-complex homology by unit-pivot reduction, with
+generators lifted back to the original cells on request.  No floating
+point anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 
 class NotAChainComplex(ValueError):
@@ -147,6 +150,58 @@ class IntMatrix:
 
     def __repr__(self):
         return f"IntMatrix({self.rows}x{self.cols}, {self.data!r})"
+
+
+class SparseMatrix:
+    """Integer matrix stored by columns, the form of boundary maps.
+
+    data[j] is column j as a tuple of (row, coef) pairs, coef != 0, each
+    row at most once."""
+
+    __slots__ = ("rows", "cols", "data")
+
+    def __init__(self, rows: int, cols: int, data: list):
+        self.rows = rows
+        self.cols = cols
+        self.data = data
+
+    @staticmethod
+    def from_terms(columns, nrows: int) -> "SparseMatrix":
+        """One iterable of (row, coef) terms per column; terms on the same
+        row add up, and zero sums are dropped."""
+        data = []
+        for terms in columns:
+            col = {}
+            for r, c in terms:
+                col[r] = col.get(r, 0) + c
+            data.append(tuple((r, c) for r, c in col.items() if c))
+        return SparseMatrix(nrows, len(data), data)
+
+    @staticmethod
+    def from_dense(m: IntMatrix) -> "SparseMatrix":
+        return SparseMatrix.from_terms(
+            (enumerate(m.column(j)) for j in range(m.cols)), m.rows
+        )
+
+    def mul(self, other: "SparseMatrix") -> "SparseMatrix":
+        if self.cols != other.rows:
+            raise ValueError("dimension mismatch in matrix product")
+        return SparseMatrix.from_terms(
+            (
+                ((r, c * x) for j, c in col for r, x in self.data[j])
+                for col in other.data
+            ),
+            self.rows,
+        )
+
+    def __mul__(self, other):
+        return self.mul(other)
+
+    def is_zero(self) -> bool:
+        return not any(self.data)
+
+    def __repr__(self):
+        return f"SparseMatrix({self.rows}x{self.cols}, {self.data!r})"
 
 
 @dataclass
@@ -428,11 +483,28 @@ def abelian_map_surjective(f: IntMatrix, r_tgt: IntMatrix) -> bool:
     return s.rank == f.rows and all(d == 1 for d in s.diagonal[: s.rank])
 
 
-@dataclass
 class HomologyGroup:
-    group: AbelianGroup
-    free_generators: list
-    torsion_generators: list  # (chain vector, order)
+    """H_k of a chain complex.  The group is computed with the complex;
+    chain representatives of its generators are computed, and lifted back
+    to the original cells, the first time either list is read."""
+
+    def __init__(self, group: AbelianGroup, source: _ChainReduction, degree: int):
+        self.group = group
+        self.degree = degree
+        self._source = source
+
+    @cached_property
+    def _generators(self):
+        return self._source.generators(self.degree)
+
+    @property
+    def free_generators(self) -> list:
+        return self._generators[0]
+
+    @property
+    def torsion_generators(self) -> list:
+        """[(chain vector, order)]"""
+        return self._generators[1]
 
     def __str__(self):
         return str(self.group)
@@ -441,46 +513,172 @@ class HomologyGroup:
 def homology(boundaries: list) -> list:
     """Homology of a chain complex from its boundary matrices.
 
-    boundaries[i] is the matrix of d_{i+1}: C_{i+1} -> C_i (rows = C_i).
-    Returns HomologyGroup for degrees 0 .. len(boundaries), including chain
-    representatives for free and torsion generators.
-    """
-    n = len(boundaries)
-    for i in range(n - 1):
-        if boundaries[i].cols != boundaries[i + 1].rows:
-            raise NotAChainComplex(i + 1, "boundary matrix dimensions mismatch")
-        if not boundaries[i].mul(boundaries[i + 1]).is_zero():
-            raise NotAChainComplex(i + 1, "d.d != 0")
+    boundaries[i] is the matrix of d_{i+1}: C_{i+1} -> C_i (rows = C_i),
+    an IntMatrix or a SparseMatrix.  Returns a HomologyGroup for each degree
+    0 .. len(boundaries).
 
-    dims = [boundaries[0].rows] + [b.cols for b in boundaries] if n else []
-    out = []
-    for i in range(n + 1):
-        dim_i = dims[i] if dims else 0
-        if i == 0:
-            kernel = IntMatrix.identity(dim_i)
-        else:
-            kernel = kernel_basis(boundaries[i - 1])
-        img = boundaries[i] if i < n else IntMatrix(dim_i, 0)
-        k = kernel.cols
-        if k == 0:
-            out.append(HomologyGroup(AbelianGroup(0), [], []))
-            continue
-        # cycles contain boundaries, so this solve is exact
-        y = solve_columns(kernel, img)
-        s = smith_normal_form(y)
-        torsion = []
-        free = []
-        for j in range(k):
-            d = s.diagonal[j] if j < len(s.diagonal) else 0
-            coords = s.uinv.column(j)
-            chain = kernel.mul_vector(coords)
-            if d == 0 or j >= s.rank:
-                free.append(chain)
-            elif d > 1:
-                torsion.append((chain, d))
-        grp = AbelianGroup(len(free), tuple(d for _, d in torsion))
-        out.append(HomologyGroup(grp, free, torsion))
-    return out
+    After checking d.d = 0, pairs of cells (a, b) with <d b, a> = +-1 are
+    removed by sparse elimination, which preserves integral homology.  Each
+    nonzero residual boundary then gets one certified Smith form, whose
+    rank and diagonal give the invariants.  Generators are found on the
+    residual complex and lifted through the removed pairs only when asked
+    for.
+    """
+    mats = [m if isinstance(m, SparseMatrix) else SparseMatrix.from_dense(m)
+            for m in boundaries]
+    for i in range(len(mats) - 1):
+        if mats[i].cols != mats[i + 1].rows:
+            raise NotAChainComplex(i + 1, "boundary matrix dimensions mismatch")
+        if not mats[i].mul(mats[i + 1]).is_zero():
+            raise NotAChainComplex(i + 1, "d.d != 0")
+    red = _ChainReduction(mats)
+    return [HomologyGroup(red.group(k), red, k) for k in range(len(mats) + 1)]
+
+
+class _ChainReduction:
+    """A chain complex reduced by unit pivots, with the removed pairs
+    recorded so that residual chains can be lifted back.
+
+    Removing a pair (a, b), b in C_k, a in C_{k-1}, <d b, a> = u = +-1, is
+    one step of Gaussian elimination: every other k-cell c becomes
+    c - (<d c, a>/u) b, which clears row a of d_k; the basis of C_{k-1}
+    trades a for d b / u.  What is left is a chain complex on the other
+    cells with the same homology, in which d_{k+1} loses row b and d_{k-1}
+    column a.  A residual k-chain z lifts to z - (<d z, a>/u) b, with the
+    boundary as it was when the pair was removed; the row of a at that
+    moment is recorded for that."""
+
+    def __init__(self, mats: list):
+        n = len(mats)
+        self.n = n
+        self.dims = [mats[0].rows] + [m.cols for m in mats] if n else [0]
+        # boundary i is d_{i+1}: column -> {row: coef}, row -> columns using it
+        self.cols = [{j: dict(col) for j, col in enumerate(m.data)} for m in mats]
+        self.row_users = []
+        for m in mats:
+            users = {r: set() for r in range(m.rows)}
+            for j, col in enumerate(m.data):
+                for r, _ in col:
+                    users[r].add(j)
+            self.row_users.append(users)
+        self.removed = [set() for _ in self.dims]
+        self.pairs = [[] for _ in mats]  # per boundary: (a, b, u, row of a)
+        for i in reversed(range(n)):
+            self._reduce(i)
+        self.residual = [
+            [j for j in range(d) if j not in gone]
+            for d, gone in zip(self.dims, self.removed)
+        ]
+        # residual boundaries, dense, and their Smith forms; None when zero
+        self.d = [self._residual_matrix(i) for i in range(n)]
+        self.smith = [None if a is None else smith_normal_form(a) for a in self.d]
+        del self.cols, self.row_users  # elimination state, not needed to lift
+
+    def _reduce(self, i: int):
+        """Remove unit pivots of boundary i until none is left, taking in
+        each column the unit entry whose row is shortest (least fill)."""
+        cols, users = self.cols[i], self.row_users[i]
+        found = True
+        while found:
+            found = False
+            for b in list(cols):
+                best = None
+                for r, x in cols[b].items():
+                    if x in (1, -1) and (best is None or len(users[r]) < best[0]):
+                        best = (len(users[r]), r)
+                if best is not None:
+                    self._remove_pair(i, best[1], b)
+                    found = True
+
+    def _remove_pair(self, i: int, a: int, b: int):
+        cols, users = self.cols[i], self.row_users[i]
+        col_b = cols.pop(b)
+        u = col_b.pop(a)
+        for r in col_b:
+            users[r].discard(b)
+        row = []
+        for c in users.pop(a) - {b}:
+            col = cols[c]
+            x = col.pop(a)
+            row.append((c, x))
+            f = x * u  # x / u, as u = +-1
+            for r, y in col_b.items():
+                v = col.get(r, 0) - f * y
+                if v:
+                    if r not in col:
+                        users[r].add(c)
+                    col[r] = v
+                else:
+                    del col[r]
+                    users[r].discard(c)
+        self.pairs[i].append((a, b, u, row))
+        self.removed[i].add(a)
+        self.removed[i + 1].add(b)
+        if i + 1 < self.n:  # row b of d_{i+2}
+            for e in self.row_users[i + 1].pop(b):
+                del self.cols[i + 1][e][b]
+        if i > 0:  # column a of d_i
+            for r in self.cols[i - 1].pop(a):
+                self.row_users[i - 1][r].discard(a)
+
+    def _residual_matrix(self, i: int):
+        """Residual boundary i as a dense matrix, or None when it is zero."""
+        rows, cols = self.residual[i], self.residual[i + 1]
+        if not any(self.cols[i][b] for b in cols):
+            return None
+        where = {r: k for k, r in enumerate(rows)}
+        dense = IntMatrix(len(rows), len(cols))
+        for j, b in enumerate(cols):
+            for r, x in self.cols[i][b].items():
+                dense.data[where[r]][j] = x
+        return dense
+
+    def group(self, k: int) -> AbelianGroup:
+        s_out = self.smith[k - 1] if k > 0 else None
+        s_in = self.smith[k] if k < self.n else None
+        rank = len(self.residual[k])
+        rank -= (s_out.rank if s_out else 0) + (s_in.rank if s_in else 0)
+        torsion = tuple(d for d in s_in.diagonal if d > 1) if s_in else ()
+        return AbelianGroup(rank, torsion)
+
+    def generators(self, k: int):
+        """(free, torsion) chain representatives of H_k in original cells.
+
+        With U A V = D the Smith form of the residual d_{k+1}, the columns
+        of U^-1 are a basis of the residual C_k whose first rank members
+        span the boundaries up to the factors d_i; those with d_i > 1 are
+        the torsion generators (they are cycles, since d_i times them is).
+        The free generators are the cycles among combinations of the
+        remaining columns: a kernel basis of the residual d_k on them."""
+        m = len(self.residual[k])
+        s_in = self.smith[k] if k < self.n else None
+        basis = s_in.uinv if s_in else IntMatrix.identity(m)
+        r = s_in.rank if s_in else 0
+        torsion = [
+            (self._lift(k, basis.column(j)), s_in.diagonal[j])
+            for j in range(r) if s_in.diagonal[j] > 1
+        ]
+        rest = IntMatrix.from_columns(
+            [basis.column(j) for j in range(r, m)], nrows=m
+        )
+        d_k = self.d[k - 1] if k > 0 else None
+        if d_k is not None:
+            rest = rest.mul(kernel_basis(d_k.mul(rest)))
+        free = [self._lift(k, rest.column(j)) for j in range(rest.cols)]
+        return free, torsion
+
+    def _lift(self, k: int, coords: list) -> list:
+        """A residual k-chain as a chain on all k-cells."""
+        z = {c: x for c, x in zip(self.residual[k], coords) if x}
+        if k > 0:
+            for _, b, u, row in reversed(self.pairs[k - 1]):
+                s = sum(z.get(c, 0) * x for c, x in row)
+                if s:
+                    z[b] = -s * u
+        vec = [0] * self.dims[k]
+        for c, x in z.items():
+            vec[c] = x
+        return vec
 
 
 def cohomology_ranks(homology_groups: list) -> list:

@@ -4,6 +4,7 @@ Each test exercises a complete path through the package (documents, orbit
 categories, realization, homology, CLI) and pins the exact expected numbers.
 """
 
+import importlib.util
 import math
 import os
 import random
@@ -19,6 +20,7 @@ from eqpi1.complexes import (
     presentation_complex,
     validate_complex,
 )
+from eqpi1.documents import parse_document
 from eqpi1.functors import induced_functor_from_complex, make_functor, validate_functoriality
 from eqpi1.groupoids import Gen, PresentedGroupoid, Word, abelianized_isotropy_map
 from eqpi1.groups import cyclic_group, family_all, symmetric_group, trivial_group
@@ -221,3 +223,20 @@ def test_round_trips_through_spaces(torus_doc, reflection_doc, free_doc):
     for _ in range(20):
         p = random_presented_groupoid(rng)
         assert fundamental_groupoid(presentation_complex(p)) == p
+
+
+def cone_document(n):
+    """The benchmark's cone on an n-gon under C_n (seed 0), as document text."""
+    path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "inputs.py")
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return inputs.cone(n, 0)
+
+
+def test_cone_c8_realization_at_scale():
+    # 1088 faces and 512 solids: homology reduces to 456 free 2-cells
+    (x,) = parse_document(cone_document(8)).complexes.values()
+    result = build_space(induced_functor_from_complex(x, family_all(x.group)))
+    assert tuple(result.space.cell_counts()) == (9, 128, 1088, 512)
+    assert homology_strings(result.space) == ["Z", "0", "Z^456", "0"]

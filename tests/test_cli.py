@@ -118,6 +118,27 @@ def test_realize_nonrigid_exits_undecided(capsys, tmp_path):
     assert code == 1
 
 
+def test_homology_stops_on_refuted_complex(capsys, tmp_path):
+    # d3 of the solid is the face, whose boundary is a loop that does not
+    # bound, so d2*d3 != 0
+    doc = tmp_path / "probe.eqp"
+    doc.write_text(
+        "complex probe {\n"
+        "  vertices v\n"
+        "  edge e v v\n"
+        "  face f e\n"
+        "  solid s { 1 f }\n"
+        "}\n"
+    )
+    code, out, err = run(capsys, "homology", str(doc))
+    assert code == 1
+    assert err == ""
+    lines = out.splitlines()
+    assert lines[0].startswith("homology probe: refuted")
+    assert "d2*d3 = 0" in lines[0]
+    assert not any(ln.strip().startswith(("H_", "euler")) for ln in lines)
+
+
 def test_homology_torus(capsys):
     code, out, _ = run(capsys, "homology", TORUS)
     assert code == 0

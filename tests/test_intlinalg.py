@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_homology import dense_homology
+
 from eqpi1.intlinalg import (
     AbelianGroup,
     IntMatrix,
     NotAChainComplex,
+    SparseMatrix,
     abelian_map_surjective,
     cohomology_ranks,
     free_quotient_data,
@@ -293,3 +296,91 @@ def test_cohomology_ranks():
     assert [str(c) for c in cs] == ["Z", "0", "Z/2"]
     torus = homology([IntMatrix(1, 2), IntMatrix(2, 1)])
     assert [str(c) for c in cohomology_ranks(torus)] == ["Z", "Z^2", "Z"]
+
+
+@given(matrices, matrices)
+@settings(max_examples=100, deadline=None)
+def test_sparse_matrix_agrees_with_dense(a, b):
+    sa = SparseMatrix.from_dense(a)
+    assert (sa.rows, sa.cols) == (a.rows, a.cols)
+    assert sa.is_zero() == a.is_zero()
+    if a.cols == b.rows:
+        product = sa * SparseMatrix.from_dense(b)
+        want = SparseMatrix.from_dense(a.mul(b))
+        assert [dict(c) for c in product.data] == [dict(c) for c in want.data]
+
+
+@st.composite
+def unimodular(draw, n):
+    """(P, P^-1) for a random product of integer row operations on n rows."""
+    p, p_inv = IntMatrix.identity(n), IntMatrix.identity(n)
+    if n == 0:
+        return p, p_inv
+    index = st.integers(0, n - 1)
+    for i, j, c in draw(
+        st.lists(st.tuples(index, index, st.integers(-2, 2)), max_size=6)
+    ):
+        if i == j:  # negate row i; the inverse negates column i
+            p.data[i] = [-x for x in p.data[i]]
+            for row in p_inv.data:
+                row[i] = -row[i]
+        else:  # row i += c * row j; the inverse: column j -= c * column i
+            p.data[i] = [x + c * y for x, y in zip(p.data[i], p.data[j])]
+            for row in p_inv.data:
+                row[j] -= c * row[i]
+    return p, p_inv
+
+
+@st.composite
+def chain_complexes(draw):
+    """Boundary matrices of a random chain complex: a direct sum of free
+    cells and blocks Z --e--> Z with e in 1, 2, 3, 6, in random bases.
+    Degrees may be empty."""
+    n = draw(st.integers(1, 3))
+    free = draw(st.lists(st.integers(0, 2), min_size=n + 1, max_size=n + 1))
+    blocks = draw(
+        st.lists(
+            st.lists(st.sampled_from([1, 2, 3, 6]), max_size=2),
+            min_size=n, max_size=n,
+        )
+    )
+    # C_k: free cells, then targets of blocks[k], then sources of blocks[k-1]
+    up = [len(blocks[k]) if k < n else 0 for k in range(n + 1)]
+    dims = [free[k] + up[k] + (len(blocks[k - 1]) if k else 0) for k in range(n + 1)]
+    bases = [draw(unimodular(d)) for d in dims]
+    mats = []
+    for k in range(n):
+        d = IntMatrix(dims[k], dims[k + 1])
+        for t, e in enumerate(blocks[k]):
+            d.data[free[k] + t][free[k + 1] + up[k + 1] + t] = e
+        mats.append(bases[k][0].mul(d).mul(bases[k + 1][1]))
+    return mats
+
+
+@given(chain_complexes())
+@settings(max_examples=200, deadline=None)
+def test_homology_matches_dense_oracle(mats):
+    got = homology(mats)
+    assert [h.group for h in got] == [h.group for h in dense_homology(mats)]
+    for k, h in enumerate(got):
+        assert len(h.free_generators) == h.group.rank
+        assert [d for _, d in h.torsion_generators] == list(h.group.torsion)
+        if k > 0:
+            d_k = mats[k - 1]
+            for z in h.free_generators + [z for z, _ in h.torsion_generators]:
+                assert d_k.mul_vector(z) == [0] * d_k.rows
+        if k == len(mats):
+            continue
+        image = mats[k]
+        for z, d in h.torsion_generators:
+            assert in_column_span(image, [d * x for x in z])
+            assert not any(
+                in_column_span(image, [m * x for x in z]) for m in range(1, d)
+            )
+        # free generators stay independent modulo boundaries
+        both = image.hstack(
+            IntMatrix.from_columns(h.free_generators, nrows=image.rows)
+        )
+        assert smith_normal_form(both).rank == (
+            smith_normal_form(image).rank + h.group.rank
+        )
