@@ -71,7 +71,6 @@ from .realize import (
     RealizationResult,
     build_homotopy_coend,
     build_space,
-    realize_pipeline,
     verify_fundamental_functor,
     verify_step2,
     zero_skeleton_coend,

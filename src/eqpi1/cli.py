@@ -13,7 +13,8 @@ Subcommands work on plain-text input documents:
   export-dot        graphviz rendering of a named groupoid or complex
 
 Exit codes: 0 verified, 1 refuted, 2 undecided (with --strict undecided
-also exits 1), 3 unusable input.
+also exits 1), 3 unusable input, 4 internal error (one line on stderr, no
+traceback).
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .realize import (
     build_space,
     verify_fundamental_functor,
 )
-from .reports import EXIT_INPUT, Report
+from .reports import EXIT_INPUT, EXIT_INTERNAL, Report
 from .verdicts import Verdict
 
 
@@ -410,6 +411,10 @@ def main(argv=None) -> int:
     except FileNotFoundError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as e:  # a fault of the program, never a verdict
+        message = " ".join(str(e).splitlines())
+        print(f"error: internal error: {type(e).__name__}: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

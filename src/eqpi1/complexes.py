@@ -714,7 +714,9 @@ def mapping_cylinder(f: CellularMap, prefix: str = "top."):
     return cyl, src_end, tgt_end
 
 
-class _UnionFind:
+class UnionFind:
+    """Disjoint sets of hashable, ordered keys; the smaller root wins a union."""
+
     def __init__(self):
         self.parent = {}
 
@@ -782,7 +784,7 @@ def glue(parts, identifications) -> GCellComplex:
         )
 
     dims = x._dims
-    uf = _UnionFind()
+    uf = UnionFind()
     for lab in x.all_labels():
         uf.add(lab)
     queue = list(identifications)

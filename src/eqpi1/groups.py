@@ -311,6 +311,3 @@ def family_trivial(group: FiniteGroup) -> SubgroupFamily:
     t = Subgroup((group.identity,))
     return SubgroupFamily(group, (t,), frozenset({t.elements}))
 
-
-# the family of finite subgroups coincides with the full family here
-family_fin = family_all

@@ -59,6 +59,11 @@ class OrbitCategory:
             self._id_of[m.elements] for m in family.members
         )
         self._homs = {}
+        # coset_rep[hid][g] is the least element of the coset g*H_hid, the
+        # canonical representative that names the coset everywhere;
+        # transversal[hid] lists those representatives in increasing order
+        self.coset_rep = {}
+        self.transversal = {}
         self._build()
         self._check_laws()
 
@@ -75,13 +80,20 @@ class OrbitCategory:
 
     def _build(self):
         g = self.group
+        cosets = {kid: left_cosets(g, self.subgroup(kid)) for kid in self.objects}
+        for kid, cs in cosets.items():
+            table = [0] * g.order
+            for coset in cs:
+                for x in coset.elements:
+                    table[x] = coset.representative
+            self.coset_rep[kid] = tuple(table)
+            self.transversal[kid] = tuple(c.representative for c in cs)
         for hid in self.objects:
             h = self.subgroup(hid)
             for kid in self.objects:
-                k = self.subgroup(kid)
-                kset = set(k.elements)
+                kset = set(self.subgroup(kid).elements)
                 ms = []
-                for coset in left_cosets(g, k):
+                for coset in cosets[kid]:
                     rep = coset.representative
                     if all(g.conj(rep, x) in kset for x in h.elements):
                         ms.append(OrbitMorphism(hid, kid, coset.elements))
@@ -127,9 +139,7 @@ class OrbitCategory:
     def apply(self, m: OrbitMorphism, coset_rep: int) -> int:
         """The underlying G-map on cosets: the coset (rep)H maps to the coset
         (rep * g)K; returns the canonical representative."""
-        g = self.group
-        prod = g.mul(coset_rep, m.representative)
-        return left_coset(g, prod, self.subgroup(m.target)).representative
+        return self.coset_rep[m.target][self.group.mul(coset_rep, m.representative)]
 
     def _check_laws(self):
         # identities act as units; composition closed; associativity is
@@ -158,14 +168,3 @@ class OrbitCategory:
                                 f"associativity fails on ({c}, {b}, {a})"
                             )
 
-
-def build_category(group: FiniteGroup, family: SubgroupFamily) -> OrbitCategory:
-    return OrbitCategory(group, family)
-
-
-def hom_set(category: OrbitCategory, h, k) -> tuple:
-    return category.hom(h, k)
-
-
-def compose(category: OrbitCategory, beta, alpha) -> OrbitMorphism:
-    return category.compose(beta, alpha)

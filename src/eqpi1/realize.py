@@ -13,8 +13,12 @@ The construction runs in stages:
   5. one solid per orbit morphism, coset, and relator, whenever the image
      of the relator collapses or lands on a relator (rigid case).
 
-The group permutes copies by left translation of cosets; all cells keep
-orientation.  An uncollapsed variant keeps one vertex per copy object and
+One builder emits every cell of stages 3 to 5 once, keyed by
+(prefix, subgroup id, coset representative, suffix) and labelled
+"prefix.g<rep>.suffix".  The group permutes copies by left translation of
+cosets and all cells keep orientation, so g sends a key to the key with
+the representative of g*rep; merged vertices move as the 0-skeleton
+says.  The uncollapsed variant keeps one vertex per copy object and
 inserts vertical edges instead of merging; it has the same homology in
 degree 3 and is exposed for cross-checks.
 
@@ -28,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .functors import NaturalTransformation, OrbFunctor, induced_functor_from_complex
-from .groups import left_cosets
 from .groupoids import (
     Word,
     canonical_cyclic,
@@ -39,7 +42,7 @@ from .groupoids import (
     rotation_equal,
     strict_isomorphism_report,
 )
-from .complexes import Edge, Face, GCellComplex, Solid
+from .complexes import Edge, Face, GCellComplex, Solid, UnionFind
 from .verdicts import Verdict, combine
 
 
@@ -70,47 +73,20 @@ class CoendResult:
         return self.point_class[(hid, rep, obj)]
 
 
-class _Merge:
-    def __init__(self):
-        self.parent = {}
-
-    def add(self, x):
-        self.parent.setdefault(x, x)
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-
-def _coset_rep(group, sub, g) -> int:
-    return min(group.mul(g, h) for h in sub.elements)
-
-
 def zero_skeleton_coend(f: OrbFunctor) -> CoendResult:
     cat = f.category
     group = cat.group
-    merge = _Merge()
+    merge = UnionFind()
     obj_index = {}
     for hid in cat.objects:
         val = f.values[hid]
         obj_index[hid] = {x: i for i, x in enumerate(val.objects)}
-        for coset in left_cosets(group, cat.subgroups[hid]):
+        for r in cat.transversal[hid]:
             for x in val.objects:
-                merge.add((hid, coset.representative, x))
+                merge.add((hid, r, x))
     for m in cat.morphisms():
         arrow = f.arrows[m]  # value(target) -> value(source)
-        sub_h = cat.subgroups[m.source]
-        for coset in left_cosets(group, sub_h):
-            r = coset.representative
+        for r in cat.transversal[m.source]:
             ir = cat.apply(m, r)
             for x in f.values[m.target].objects:
                 merge.union(
@@ -139,7 +115,7 @@ def zero_skeleton_coend(f: OrbFunctor) -> CoendResult:
         table = {}
         for lab, mem in members.items():
             hid, rep, x = mem[0]
-            moved = _coset_rep(group, cat.subgroups[hid], group.mul(g, rep))
+            moved = cat.coset_rep[hid][group.mul(g, rep)]
             table[lab] = point_class[(hid, moved, x)]
         action[g] = table
     return CoendResult(classes, members, point_class, action)
@@ -152,12 +128,11 @@ def verify_step2(f: OrbFunctor, coend: CoendResult | None = None) -> dict:
     if coend is None:
         coend = zero_skeleton_coend(f)
     cat = f.category
-    group = cat.group
     out = {}
     for hid in cat.objects:
         sub = cat.subgroups[hid]
         val = f.values[hid]
-        base_rep = _coset_rep(group, sub, group.identity)
+        base_rep = cat.coset_rep[hid][cat.group.identity]
         hit = {}
         witness = None
         for x in val.objects:
@@ -191,16 +166,12 @@ class RealizationResult:
     step2: dict
 
 
-def _copy_edge(hid: int, rep: int, label: str) -> str:
-    return f"o{hid}.g{rep}.{label}"
-
-
-def _copy_face(hid: int, rep: int, k: int) -> str:
-    return f"o{hid}.g{rep}.rel{k}"
+def _label(prefix: str, rep: int, suffix: str) -> str:
+    return f"{prefix}.g{rep}.{suffix}"
 
 
 def _copy_word(hid: int, rep: int, w: Word, point=None) -> Word:
-    letters = tuple((_copy_edge(hid, rep, lab), e) for lab, e in w.letters)
+    letters = tuple((_label(f"o{hid}", rep, lab), e) for lab, e in w.letters)
     at = None
     if not letters and point is not None:
         at = point
@@ -223,143 +194,112 @@ def _match_relator(target, image_letters):
     return "none", reduced
 
 
-def build_space(f: OrbFunctor, max_dim: int = 3) -> RealizationResult:
+def _build(f: OrbFunctor, max_dim: int, coend: CoendResult | None):
+    """Stages 3 to 5 over the 0-skeleton coend, or, when coend is None,
+    over one vertex per copy object joined to its images by vertical edges
+    v<mi>.g<rep>.<object>.  Returns the complex and the nonrigid pairs."""
     cat = f.category
     group = cat.group
-    coend = zero_skeleton_coend(f)
-    step2 = verify_step2(f, coend)
+    keys = {}  # (prefix, hid, coset rep, suffix) -> label, in emission order
 
-    copies = {}  # hid -> list of coset reps
-    for hid in cat.objects:
-        copies[hid] = [
-            c.representative for c in left_cosets(group, cat.subgroups[hid])
+    def emit(prefix, hid, r, suffix):
+        lab = keys[(prefix, hid, r, suffix)] = _label(prefix, r, suffix)
+        return lab
+
+    if coend is None:
+        vertices = [
+            emit(f"o{hid}", hid, r, x)
+            for hid in cat.objects
+            for r in cat.transversal[hid]
+            for x in f.values[hid].objects
         ]
 
-    edges = []
-    faces = []
+        def vertex(hid, r, x):
+            return _label(f"o{hid}", r, x)
+
+    else:
+        vertices = coend.classes
+        vertex = coend.class_of
+    edges, faces, solids, nonrigid = [], [], [], []
     for hid in cat.objects:
         val = f.values[hid]
-        for r in copies[hid]:
+        for r in cat.transversal[hid]:
             for gen in val.generators:
                 edges.append(
                     Edge(
-                        _copy_edge(hid, r, gen.label),
-                        coend.class_of(hid, r, gen.source),
-                        coend.class_of(hid, r, gen.target),
+                        emit(f"o{hid}", hid, r, gen.label),
+                        vertex(hid, r, gen.source),
+                        vertex(hid, r, gen.target),
                     )
                 )
             for k, rel in enumerate(val.relators):
-                at = None
-                if not rel.letters:
-                    at = coend.class_of(hid, r, rel.at)
-                faces.append(
-                    Face(_copy_face(hid, r, k), _copy_word(hid, r, rel, at))
-                )
-
-    morphs = cat.morphisms()
-    for mi, m in enumerate(morphs):
+                at = vertex(hid, r, rel.at) if not rel.letters else None
+                label = emit(f"o{hid}", hid, r, f"rel{k}")
+                faces.append(Face(label, _copy_word(hid, r, rel, at)))
+    for mi, m in enumerate(cat.morphisms()):
         arrow = f.arrows[m]
         hid, kid = m.source, m.target
-        for r in copies[hid]:
-            ir = cat.apply(m, r)
-            for gen in f.values[kid].generators:
-                img = arrow.generator_map[gen.label]
-                word = ((_copy_edge(kid, ir, gen.label), 1),) + invert_letters(
-                    _copy_word(hid, r, img).letters
-                )
-                faces.append(Face(f"q{mi}.g{r}.{gen.label}", Word(word)))
-
-    solids = []
-    nonrigid = []
-    if max_dim >= 3:
-        for mi, m in enumerate(morphs):
-            arrow = f.arrows[m]
-            hid, kid = m.source, m.target
-            matches = {}
-            for k, rel in enumerate(f.values[kid].relators):
-                image = arrow.apply(rel)
-                kind, data = _match_relator(f.values[hid], image.letters)
-                if kind == "none":
-                    nonrigid.append((str(m), k))
-                    continue
+        down = f.values[kid]
+        matches = {}
+        for k, rel in enumerate(down.relators if max_dim >= 3 else ()):
+            kind, data = _match_relator(f.values[hid], arrow.apply(rel).letters)
+            if kind == "none":
+                nonrigid.append((str(m), k))
+            else:
                 matches[k] = data
-            for r in copies[hid]:
-                ir = cat.apply(m, r)
-                for k, rel in enumerate(f.values[kid].relators):
-                    if k not in matches:
-                        continue
-                    chain = {_copy_face(kid, ir, k): 1}
-                    data = matches[k]
-                    if data is not None:
-                        j, sign = data
-                        lab = _copy_face(hid, r, j)
-                        chain[lab] = chain.get(lab, 0) - sign
-                    for lab, e in rel.letters:
-                        q = f"q{mi}.g{r}.{lab}"
-                        chain[q] = chain.get(q, 0) - e
-                    solids.append(
-                        Solid(
-                            f"s{mi}.g{r}.r{k}",
-                            tuple(
-                                sorted(
-                                    (c, lab)
-                                    for lab, c in chain.items()
-                                    if c != 0
-                                )
-                            ),
+        for r in cat.transversal[hid]:
+            ir = cat.apply(m, r)
+            if coend is None:
+                for x in down.objects:
+                    edges.append(
+                        Edge(
+                            emit(f"v{mi}", hid, r, x),
+                            vertex(kid, ir, x),
+                            vertex(hid, r, arrow.object_map[x]),
                         )
                     )
+            for gen in down.generators:
+                img = arrow.generator_map[gen.label]
+                word = invert_letters(_copy_word(hid, r, img).letters)
+                if coend is None:
+                    word = (
+                        ((_label(f"v{mi}", r, gen.target), 1),)
+                        + word
+                        + ((_label(f"v{mi}", r, gen.source), -1),)
+                    )
+                word = ((_label(f"o{kid}", ir, gen.label), 1),) + word
+                faces.append(Face(emit(f"q{mi}", hid, r, gen.label), Word(word)))
+            for k, data in matches.items():
+                chain = {_label(f"o{kid}", ir, f"rel{k}"): 1}
+                if data is not None:
+                    j, sign = data
+                    lab = _label(f"o{hid}", r, f"rel{j}")
+                    chain[lab] = chain.get(lab, 0) - sign
+                for lab, e in down.relators[k].letters:
+                    q = _label(f"q{mi}", r, lab)
+                    chain[q] = chain.get(q, 0) - e
+                boundary = sorted((c, lab) for lab, c in chain.items() if c != 0)
+                solids.append(Solid(emit(f"s{mi}", hid, r, f"r{k}"), tuple(boundary)))
 
     action = {}
     for g in group.elements():
-        table = dict(coend.action[g].items())
-        table = {lab: (img, 1) for lab, img in table.items()}
-        for hid in cat.objects:
-            sub = cat.subgroups[hid]
-            val = f.values[hid]
-            for r in copies[hid]:
-                moved = _coset_rep(group, sub, group.mul(g, r))
-                for gen in val.generators:
-                    table[_copy_edge(hid, r, gen.label)] = (
-                        _copy_edge(hid, moved, gen.label),
-                        1,
-                    )
-                for k in range(len(val.relators)):
-                    table[_copy_face(hid, r, k)] = (
-                        _copy_face(hid, moved, k),
-                        1,
-                    )
-        for mi, m in enumerate(morphs):
-            hid, kid = m.source, m.target
-            sub = cat.subgroups[hid]
-            for r in copies[hid]:
-                moved = _coset_rep(group, sub, group.mul(g, r))
-                for gen in f.values[kid].generators:
-                    table[f"q{mi}.g{r}.{gen.label}"] = (
-                        f"q{mi}.g{moved}.{gen.label}",
-                        1,
-                    )
-        solid_labels = {s.label for s in solids}
-        for mi, m in enumerate(morphs):
-            hid = m.source
-            sub = cat.subgroups[hid]
-            for r in copies[hid]:
-                moved = _coset_rep(group, sub, group.mul(g, r))
-                for k in range(len(f.values[m.target].relators)):
-                    lab = f"s{mi}.g{r}.r{k}"
-                    if lab in solid_labels:
-                        table[lab] = (f"s{mi}.g{moved}.r{k}", 1)
+        table = {}
+        if coend is not None:
+            table = {lab: (img, 1) for lab, img in coend.action[g].items()}
+        for (prefix, hid, r, suffix), lab in keys.items():
+            moved = cat.coset_rep[hid][group.mul(g, r)]
+            table[lab] = (keys[(prefix, hid, moved, suffix)], 1)
         action[g] = table
-
     space = GCellComplex(
-        group,
-        coend.classes,
-        tuple(edges),
-        tuple(faces),
-        tuple(solids),
-        action,
+        group, tuple(vertices), tuple(edges), tuple(faces), tuple(solids), action
     )
-    return RealizationResult(f, coend, space, tuple(nonrigid), step2)
+    return space, tuple(nonrigid)
+
+
+def build_space(f: OrbFunctor, max_dim: int = 3) -> RealizationResult:
+    coend = zero_skeleton_coend(f)
+    space, nonrigid = _build(f, max_dim, coend)
+    return RealizationResult(f, coend, space, nonrigid, verify_step2(f, coend))
 
 
 def build_homotopy_coend(f: OrbFunctor, max_dim: int = 3) -> GCellComplex:
@@ -367,138 +307,7 @@ def build_homotopy_coend(f: OrbFunctor, max_dim: int = 3) -> GCellComplex:
     vertical edges from a copy upstairs to its image downstairs, squares
     bordered by the verticals, and the same solids.  Degree-3 homology
     agrees with the merged space; lower degrees may not."""
-    cat = f.category
-    group = cat.group
-
-    def vtx(hid, r, x):
-        return f"o{hid}.g{r}.{x}"
-
-    copies = {
-        hid: [c.representative for c in left_cosets(group, cat.subgroups[hid])]
-        for hid in cat.objects
-    }
-    vertices = []
-    edges = []
-    faces = []
-    for hid in cat.objects:
-        val = f.values[hid]
-        for r in copies[hid]:
-            for x in val.objects:
-                vertices.append(vtx(hid, r, x))
-            for gen in val.generators:
-                edges.append(
-                    Edge(
-                        _copy_edge(hid, r, gen.label),
-                        vtx(hid, r, gen.source),
-                        vtx(hid, r, gen.target),
-                    )
-                )
-            for k, rel in enumerate(val.relators):
-                at = vtx(hid, r, rel.at) if not rel.letters else None
-                faces.append(
-                    Face(_copy_face(hid, r, k), _copy_word(hid, r, rel, at))
-                )
-    morphs = cat.morphisms()
-    for mi, m in enumerate(morphs):
-        arrow = f.arrows[m]
-        hid, kid = m.source, m.target
-        for r in copies[hid]:
-            ir = cat.apply(m, r)
-            for x in f.values[kid].objects:
-                edges.append(
-                    Edge(
-                        f"v{mi}.g{r}.{x}",
-                        vtx(kid, ir, x),
-                        vtx(hid, r, arrow.object_map[x]),
-                    )
-                )
-            for gen in f.values[kid].generators:
-                img = arrow.generator_map[gen.label]
-                word = (
-                    ((_copy_edge(kid, ir, gen.label), 1),)
-                    + ((f"v{mi}.g{r}.{gen.target}", 1),)
-                    + invert_letters(_copy_word(hid, r, img).letters)
-                    + ((f"v{mi}.g{r}.{gen.source}", -1),)
-                )
-                faces.append(Face(f"q{mi}.g{r}.{gen.label}", Word(word)))
-    solids = []
-    if max_dim >= 3:
-        for mi, m in enumerate(morphs):
-            arrow = f.arrows[m]
-            hid, kid = m.source, m.target
-            for k, rel in enumerate(f.values[kid].relators):
-                image = arrow.apply(rel)
-                kind, data = _match_relator(f.values[hid], image.letters)
-                if kind == "none":
-                    continue
-                for r in copies[hid]:
-                    ir = cat.apply(m, r)
-                    chain = {_copy_face(kid, ir, k): 1}
-                    if data is not None:
-                        j, sign = data
-                        lab = _copy_face(hid, r, j)
-                        chain[lab] = chain.get(lab, 0) - sign
-                    for lab, e in rel.letters:
-                        q = f"q{mi}.g{r}.{lab}"
-                        chain[q] = chain.get(q, 0) - e
-                    solids.append(
-                        Solid(
-                            f"s{mi}.g{r}.r{k}",
-                            tuple(
-                                sorted(
-                                    (c, lab)
-                                    for lab, c in chain.items()
-                                    if c != 0
-                                )
-                            ),
-                        )
-                    )
-    action = {}
-    all_solid_labels = {s.label for s in solids}
-    for g in group.elements():
-        table = {}
-        for hid in cat.objects:
-            sub = cat.subgroups[hid]
-            val = f.values[hid]
-            for r in copies[hid]:
-                moved = _coset_rep(group, sub, group.mul(g, r))
-                for x in val.objects:
-                    table[vtx(hid, r, x)] = (vtx(hid, moved, x), 1)
-                for gen in val.generators:
-                    table[_copy_edge(hid, r, gen.label)] = (
-                        _copy_edge(hid, moved, gen.label),
-                        1,
-                    )
-                for k in range(len(val.relators)):
-                    table[_copy_face(hid, r, k)] = (
-                        _copy_face(hid, moved, k),
-                        1,
-                    )
-        for mi, m in enumerate(morphs):
-            hid, kid = m.source, m.target
-            sub = cat.subgroups[hid]
-            for r in copies[hid]:
-                moved = _coset_rep(group, sub, group.mul(g, r))
-                for x in f.values[kid].objects:
-                    table[f"v{mi}.g{r}.{x}"] = (f"v{mi}.g{moved}.{x}", 1)
-                for gen in f.values[kid].generators:
-                    table[f"q{mi}.g{r}.{gen.label}"] = (
-                        f"q{mi}.g{moved}.{gen.label}",
-                        1,
-                    )
-                for k in range(len(f.values[kid].relators)):
-                    lab = f"s{mi}.g{r}.r{k}"
-                    if lab in all_solid_labels:
-                        table[lab] = (f"s{mi}.g{moved}.r{k}", 1)
-        action[g] = table
-    return GCellComplex(
-        group,
-        tuple(vertices),
-        tuple(edges),
-        tuple(faces),
-        tuple(solids),
-        action,
-    )
+    return _build(f, max_dim, None)[0]
 
 
 @dataclass
@@ -516,17 +325,16 @@ def comparison_transformation(
     functor of the realized space: objects go to their classes, generators
     to their copy edges in the identity-coset copy."""
     computed = induced_functor_from_complex(result.space, f.category.family)
-    group = f.category.group
+    cat = f.category
     components = {}
-    for hid in f.category.objects:
-        sub = f.category.subgroups[hid]
-        base = _coset_rep(group, sub, group.identity)
+    for hid in cat.objects:
+        base = cat.coset_rep[hid][cat.group.identity]
         val = f.values[hid]
         object_map = {
             x: result.coend.class_of(hid, base, x) for x in val.objects
         }
         generator_map = {
-            g.label: Word(((_copy_edge(hid, base, g.label), 1),))
+            g.label: Word(((_label(f"o{hid}", base, g.label), 1),))
             for g in val.generators
         }
         components[hid] = GroupoidMorphism(
@@ -554,7 +362,3 @@ def verify_fundamental_functor(
     combined = combine([naturality] + list(equivalence.values()))
     return FunctorVerification(naturality, equivalence, strict, combined)
 
-
-def realize_pipeline(f: OrbFunctor, max_dim: int = 3) -> RealizationResult:
-    """Stages 1 through 5 in order; the result carries the diagnostics."""
-    return build_space(f, max_dim=max_dim)

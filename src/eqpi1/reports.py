@@ -5,8 +5,9 @@ text lines, and children.  Informational nodes (diagnostics that are
 expected to fail for interesting inputs) never influence the exit code.
 
 Exit codes: 0 when every counted verdict is Verified, 1 when any is
-Refuted, 2 when the worst is Undecided, 3 for unusable input.  With strict
-mode Undecided counts as failure.
+Refuted, 2 when the worst is Undecided, 3 for unusable input, 4 for an
+internal error of the program.  With strict mode Undecided counts as
+failure.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ EXIT_OK = 0
 EXIT_REFUTED = 1
 EXIT_UNDECIDED = 2
 EXIT_INPUT = 3
+EXIT_INTERNAL = 4
 
 _ORDER = {REFUTED: 2, UNDECIDED: 1, VERIFIED: 0}
 

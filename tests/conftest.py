@@ -1,3 +1,4 @@
+import importlib.util
 import os
 
 import pytest
@@ -5,6 +6,9 @@ import pytest
 from eqpi1.documents import parse_path
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "src", "eqpi1", "data")
+
+
+BENCH_INPUTS = os.path.join(os.path.dirname(__file__), "..", "perfbench", "inputs.py")
 
 
 def data_file(name):
@@ -24,3 +28,12 @@ def reflection_doc():
 @pytest.fixture(scope="session")
 def free_doc():
     return parse_path(data_file("free_s0_z2.eqp"))
+
+
+@pytest.fixture(scope="session")
+def bench_inputs():
+    """The benchmark's seeded document generators (perfbench/inputs.py)."""
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", BENCH_INPUTS)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return inputs

@@ -4,7 +4,6 @@ Each test exercises a complete path through the package (documents, orbit
 categories, realization, homology, CLI) and pins the exact expected numbers.
 """
 
-import importlib.util
 import math
 import os
 import random
@@ -25,7 +24,7 @@ from eqpi1.functors import induced_functor_from_complex, make_functor, validate_
 from eqpi1.groupoids import Gen, PresentedGroupoid, Word, abelianized_isotropy_map
 from eqpi1.groups import cyclic_group, family_all, symmetric_group, trivial_group
 from eqpi1.intlinalg import IntMatrix, smith_normal_form
-from eqpi1.orbit import build_category
+from eqpi1.orbit import OrbitCategory
 from eqpi1.realize import (
     STEP2_BIJECTION,
     STEP2_QUOTIENT,
@@ -114,7 +113,7 @@ def test_single_object_realizations_recover_classifying_spaces():
     }
     cases = {"torus": torus_groupoid(), "half": half, "free2": free2}
     tg = trivial_group()
-    cat = build_category(tg, family_all(tg))
+    cat = OrbitCategory(tg, family_all(tg))
     for name, g in cases.items():
         fun = make_functor(cat, {0: g}, {})
         res = build_space(fun)
@@ -137,7 +136,7 @@ def test_orbit_category_laws_exhaustively():
     start = time.monotonic()
     groups = (cyclic_group(2), cyclic_group(4), symmetric_group(3))
     for g in groups:
-        cat = build_category(g, family_all(g))
+        cat = OrbitCategory(g, family_all(g))
         ms = cat.morphisms()
         for m in ms:
             assert cat.compose(m, cat.identity(m.source)) == m
@@ -225,18 +224,9 @@ def test_round_trips_through_spaces(torus_doc, reflection_doc, free_doc):
         assert fundamental_groupoid(presentation_complex(p)) == p
 
 
-def cone_document(n):
-    """The benchmark's cone on an n-gon under C_n (seed 0), as document text."""
-    path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "inputs.py")
-    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
-    inputs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(inputs)
-    return inputs.cone(n, 0)
-
-
-def test_cone_c8_realization_at_scale():
+def test_cone_c8_realization_at_scale(bench_inputs):
     # 1088 faces and 512 solids: homology reduces to 456 free 2-cells
-    (x,) = parse_document(cone_document(8)).complexes.values()
+    (x,) = parse_document(bench_inputs.cone(8, 0)).complexes.values()
     result = build_space(induced_functor_from_complex(x, family_all(x.group)))
     assert tuple(result.space.cell_counts()) == (9, 128, 1088, 512)
     assert homology_strings(result.space) == ["Z", "0", "Z^456", "0"]

@@ -4,6 +4,7 @@ import os
 import pytest
 
 import eqpi1
+import eqpi1.cli
 from eqpi1.cli import main
 
 DATA = os.path.join(os.path.dirname(eqpi1.__file__), "data")
@@ -265,3 +266,15 @@ def test_realize_machine_format(capsys):
     for child in data["children"]:
         if child["title"].startswith("stage 2"):
             assert child["informational"] is True
+
+
+def test_internal_error_exits_four_without_traceback(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("boom\nsecond line")
+
+    monkeypatch.setattr(eqpi1.cli, "cmd_export", broken)
+    code, out, err = run(capsys, "export", TORUS)
+    assert code == 4
+    assert out == ""
+    assert err.splitlines() == ["error: internal error: RuntimeError: boom second line"]
+    assert "Traceback" not in err

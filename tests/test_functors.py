@@ -28,7 +28,7 @@ from eqpi1.groupoids import (
     identity_morphism,
 )
 from eqpi1.groups import cyclic_group, family_all, family_trivial, trivial_group
-from eqpi1.orbit import build_category
+from eqpi1.orbit import OrbitCategory
 
 
 def circle_groupoid():
@@ -52,7 +52,7 @@ def find_morphism(cat, text):
 
 def test_make_functor_fills_identities_and_validates():
     z2 = cyclic_group(2)
-    cat = build_category(z2, family_all(z2))
+    cat = OrbitCategory(z2, family_all(z2))
     circ = circle_groupoid()
     point = point_groupoid()
     flip = find_morphism(cat, "H0->H0:g1")
@@ -74,14 +74,14 @@ def test_make_functor_fills_identities_and_validates():
 
 def test_make_functor_missing_value():
     z2 = cyclic_group(2)
-    cat = build_category(z2, family_all(z2))
+    cat = OrbitCategory(z2, family_all(z2))
     with pytest.raises(MissingValue):
         make_functor(cat, {0: circle_groupoid()}, {})
 
 
 def test_make_functor_missing_arrow():
     z2 = cyclic_group(2)
-    cat = build_category(z2, family_all(z2))
+    cat = OrbitCategory(z2, family_all(z2))
     circ = circle_groupoid()
     flip = find_morphism(cat, "H0->H0:g1")
     with pytest.raises(MissingArrow) as err:
@@ -91,7 +91,7 @@ def test_make_functor_missing_arrow():
 
 def test_make_functor_empty_values_need_no_arrows():
     z2 = cyclic_group(2)
-    cat = build_category(z2, family_all(z2))
+    cat = OrbitCategory(z2, family_all(z2))
     circ = circle_groupoid()
     flip = find_morphism(cat, "H0->H0:g1")
     f = make_functor(
@@ -104,7 +104,7 @@ def test_make_functor_empty_values_need_no_arrows():
 
 def test_make_functor_derives_composites():
     z4 = cyclic_group(4)
-    cat = build_category(z4, family_all(z4))
+    cat = OrbitCategory(z4, family_all(z4))
     assert len(list(cat.morphisms())) == 11
     circ = circle_groupoid()
     point = point_groupoid()
@@ -127,7 +127,7 @@ def test_make_functor_derives_composites():
 
 def test_declared_identity_violation_is_caught():
     z2 = cyclic_group(2)
-    cat = build_category(z2, family_trivial(z2))
+    cat = OrbitCategory(z2, family_trivial(z2))
     circ = circle_groupoid()
     ident = cat.identity(0)
     other = find_morphism(cat, "H0->H0:g1")
@@ -140,7 +140,7 @@ def test_declared_identity_violation_is_caught():
 
 def test_validate_arrow_endpoints():
     z2 = cyclic_group(2)
-    cat = build_category(z2, family_trivial(z2))
+    cat = OrbitCategory(z2, family_trivial(z2))
     circ = circle_groupoid()
     wrong = {m: identity_morphism(point_groupoid()) for m in cat.morphisms()}
     f = OrbFunctor(cat, {0: circ}, wrong)

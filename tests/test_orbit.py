@@ -16,9 +16,6 @@ from eqpi1.orbit import (
     ObjectNotInFamily,
     OrbitCategory,
     OrbitMorphism,
-    build_category,
-    compose,
-    hom_set,
 )
 
 GROUPS = {
@@ -171,14 +168,6 @@ def test_family_trivial_category():
     assert cat.objects == (0,)
     # the one object has G worth of self-maps
     assert len(cat.hom(0, 0)) == 6
-
-
-def test_module_level_helpers():
-    g = GROUPS["z2"]
-    cat = build_category(g, family_all(g))
-    assert hom_set(cat, 0, 1) == cat.hom(0, 1)
-    a = cat.hom(0, 0)[1]
-    assert compose(cat, a, a) == cat.identity(0)
 
 
 def test_morphism_str_and_coset():

@@ -1,6 +1,7 @@
 import pytest
 
 from eqpi1.complexes import homology_of_complex, validate_complex
+from eqpi1.documents import parse_document
 from eqpi1.functors import (
     induced_functor_from_complex,
     make_functor,
@@ -14,7 +15,7 @@ from eqpi1.groupoids import (
     identity_morphism,
 )
 from eqpi1.groups import cyclic_group, family_all, trivial_group
-from eqpi1.orbit import build_category
+from eqpi1.orbit import OrbitCategory
 from eqpi1.realize import (
     STEP2_BIJECTION,
     STEP2_DEFICIT,
@@ -23,7 +24,6 @@ from eqpi1.realize import (
     build_homotopy_coend,
     build_space,
     comparison_transformation,
-    realize_pipeline,
     verify_fundamental_functor,
     verify_step2,
     zero_skeleton_coend,
@@ -47,7 +47,7 @@ def torus_functor(doc):
 
 def deficit_functor():
     z2 = cyclic_group(2)
-    cat = build_category(z2, family_all(z2))
+    cat = OrbitCategory(z2, family_all(z2))
     pair = PresentedGroupoid(("u", "v"), (), ())
     point = PresentedGroupoid(("p",), (), ())
     proj = GroupoidMorphism(point, pair, {"p": "u"}, {})
@@ -63,7 +63,7 @@ def deficit_functor():
 
 def nonrigid_functor():
     z2 = cyclic_group(2)
-    cat = build_category(z2, family_all(z2))
+    cat = OrbitCategory(z2, family_all(z2))
     x3 = PresentedGroupoid(
         ("u",), (Gen("x", "u", "u"),), (Word((("x", 1),) * 3, at="u"),)
     )
@@ -83,7 +83,7 @@ def nonrigid_functor():
 
 def trivial_torus_functor():
     tg = trivial_group()
-    cat = build_category(tg, family_all(tg))
+    cat = OrbitCategory(tg, family_all(tg))
     torus = PresentedGroupoid(
         ("u",),
         (Gen("a", "u", "u"), Gen("b", "u", "u")),
@@ -144,6 +144,7 @@ def test_build_space_shipped_torus(torus_doc):
     assert r.nonrigid == ()
     assert validate_complex(r.space).is_verified
     assert homology_strings(r.space) == ["Z", "Z^2", "Z^11", "Z^3"]
+    assert r.step2[0].status == STEP2_BIJECTION
     assert r.step2[1].status == STEP2_QUOTIENT
     assert r.functor is f and r.coend.classes == ("x0",)
 
@@ -163,18 +164,30 @@ def test_homotopy_coend_shipped_torus(torus_doc):
     assert homology_strings(w) == ["Z", "Z^9", "Z^11", "Z^3"]
 
 
-def test_degree_three_homology_agrees(torus_doc):
-    f = torus_functor(torus_doc)
-    x = build_space(f).space
-    w = build_homotopy_coend(f)
-    assert homology_strings(x)[3] == homology_strings(w)[3] == "Z^3"
-    hx = next(iter(torus_doc.complexes.values()))
-    hf = induced_functor_from_complex(hx)
-    assert (
-        homology_strings(build_space(hf).space)[3]
-        == homology_strings(build_homotopy_coend(hf))[3]
-        == "Z^3"
-    )
+def cross_check_functors(source, torus_doc, bench_inputs):
+    if source == "torus":
+        honest = next(iter(torus_doc.complexes.values()))
+        return [torus_functor(torus_doc), induced_functor_from_complex(honest)]
+    if source == "cone3":
+        text = bench_inputs.cone(3, 0)
+    else:
+        text = bench_inputs.cone(4, 0, loop_power=3)  # Z/3 torsion below degree 3
+    (x,) = parse_document(text).complexes.values()
+    return [induced_functor_from_complex(x, family_all(x.group))]
+
+
+@pytest.mark.parametrize(
+    "source, h3",
+    [("torus", "Z^3"), ("cone3", "0"), ("cone4-loops", "0")],
+    ids=["torus", "cone3", "cone4-loops"],
+)
+def test_degree_three_homology_agrees(source, h3, torus_doc, bench_inputs):
+    for f in cross_check_functors(source, torus_doc, bench_inputs):
+        x = build_space(f).space
+        w = build_homotopy_coend(f)
+        assert validate_complex(x).is_verified
+        assert validate_complex(w).is_verified
+        assert homology_strings(x)[3] == homology_strings(w)[3] == h3
 
 
 def test_trivial_group_torus_realization():
@@ -249,13 +262,6 @@ def test_verify_fundamental_functor_trivial_torus():
     f = trivial_torus_functor()
     ver = verify_fundamental_functor(f)
     assert ver.combined.is_verified
-
-
-def test_realize_pipeline_alias(torus_doc):
-    f = torus_functor(torus_doc)
-    r = realize_pipeline(f)
-    assert r.space.cell_counts() == (1, 6, 16, 4)
-    assert r.step2[0].status == STEP2_BIJECTION
 
 
 def test_deficit_functor_still_realizes():
