@@ -13,8 +13,8 @@ Subcommands work on plain-text input documents:
   export-dot        graphviz rendering of a named groupoid or complex
 
 Exit codes: 0 verified, 1 refuted, 2 undecided (with --strict undecided
-also exits 1), 3 unusable input, 4 internal error (one line on stderr, no
-traceback).
+also exits 1), 3 unusable input (malformed, unreadable or not UTF-8), 4
+internal error (one line on stderr, no traceback).
 """
 
 from __future__ import annotations
@@ -408,7 +408,7 @@ def main(argv=None) -> int:
     except (DocumentSyntaxError, DanglingReference, SchemaViolation) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
-    except FileNotFoundError as e:
+    except (OSError, UnicodeDecodeError) as e:  # a file named in argv is unusable
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as e:  # a fault of the program, never a verdict

@@ -514,7 +514,7 @@ def _build_functor(name, spec, group, family, groupoids) -> OrbFunctor:
         functor = make_functor(cat, values, arrows)
     except (MissingArrow, MissingValue, ValueError) as e:
         raise SchemaViolation(f"functor {name!r}: {e}") from e
-    functor._value_names = {sid: gname.value for sid, gname in values_spec}
+    functor.value_names = {sid: gname.value for sid, gname in values_spec}
     return functor
 
 
@@ -761,7 +761,7 @@ def _render_groupoid(name, g: PresentedGroupoid):
 def _render_functor(name, f: OrbFunctor):
     out = [f"functor {name} {{"]
     cat = f.category
-    names = getattr(f, "_value_names", None)
+    names = f.value_names
     if names is None:
         raise ValueError(
             f"functor {name!r} was not parsed from a document; "

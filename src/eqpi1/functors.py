@@ -51,6 +51,8 @@ class OrbFunctor:
     category: OrbitCategory
     values: dict  # subgroup id -> PresentedGroupoid
     arrows: dict  # OrbitMorphism -> GroupoidMorphism
+    # subgroup id -> groupoid name, set when parsed from a document
+    value_names: dict | None = field(default=None, compare=False)
 
     def value(self, h) -> PresentedGroupoid:
         hid = self.category.id_of(h) if isinstance(h, Subgroup) else h
@@ -94,9 +96,7 @@ def make_functor(category: OrbitCategory, values: dict, arrows: dict) -> OrbFunc
     while changed:
         changed = False
         for beta in category.morphisms():
-            for alpha in category.morphisms():
-                if alpha.target != beta.source:
-                    continue
+            for alpha in category.into[beta.source]:
                 comp = category.compose(beta, alpha)
                 if comp in done or beta not in done or alpha not in done:
                     continue
@@ -111,12 +111,17 @@ def make_functor(category: OrbitCategory, values: dict, arrows: dict) -> OrbFunc
     return OrbFunctor(category, vals, done)
 
 
+_SYNTACTICALLY_EQUAL = Verdict.verified(LEVEL_SYNTACTIC)
+
+
 def _same_morphism(a: GroupoidMorphism, b: GroupoidMorphism) -> Verdict:
     if a.object_map != b.object_map:
         return Verdict.refuted(
             {"detail": "object maps differ", "maps": (a.object_map, b.object_map)},
             LEVEL_SYNTACTIC,
         )
+    if a.generator_map == b.generator_map:  # equal words are equal arrows
+        return _SYNTACTICALLY_EQUAL
     verdicts = []
     for g in a.source.generators:
         v = words_equal_verdict(
@@ -157,12 +162,10 @@ def validate_functoriality(f: OrbFunctor) -> Verdict:
             )
         verdicts.append(v)
     for beta in cat.morphisms():
-        for alpha in cat.morphisms():
-            if alpha.target != beta.source:
-                continue
-            comp = cat.compose(beta, alpha)
-            direct = f.arrows[comp]
-            staged = compose_morphisms(f.arrows[alpha], f.arrows[beta])
+        t_beta = f.arrows[beta]
+        for alpha in cat.into[beta.source]:
+            direct = f.arrows[cat.compose(beta, alpha)]
+            staged = compose_morphisms(f.arrows[alpha], t_beta)
             v = _same_morphism(direct, staged)
             if v.is_refuted:
                 return Verdict.refuted(
@@ -178,7 +181,12 @@ def induced_functor_from_complex(x: GCellComplex, family=None) -> OrbFunctor:
     """The functor of fixed-point fundamental groupoids of a complex."""
     if family is None:
         family = family_all(x.group)
-    cat = OrbitCategory(x.group, family)
+    return _induced_functor(x, OrbitCategory(x.group, family))
+
+
+def _induced_functor(x: GCellComplex, cat: OrbitCategory) -> OrbFunctor:
+    """induced_functor_from_complex on an orbit category already built for
+    the complex's group."""
     values = {}
     complexes = {}
     for hid in cat.objects:

@@ -287,6 +287,10 @@ class PresentedGroupoid:
     def _obj_index(self):
         return {x: i for i, x in enumerate(self.objects)}
 
+    @cached_property
+    def _relator_keys(self) -> frozenset:
+        return frozenset(canonical_cyclic(r.letters) for r in self.relators)
+
     @property
     def is_empty(self) -> bool:
         return not self.objects
@@ -444,7 +448,7 @@ class GroupoidMorphism:
     generator_map: dict
 
     def __post_init__(self):
-        tgt_objects = set(self.target.objects)
+        tgt_objects = self.target._obj_index
         for x in self.source.objects:
             if x not in self.object_map:
                 raise ObjectNotFound(f"object {x!r} has no image")
@@ -490,7 +494,7 @@ def empty_morphism(target: PresentedGroupoid) -> GroupoidMorphism:
 
 def compose_morphisms(t2: GroupoidMorphism, t1: GroupoidMorphism) -> GroupoidMorphism:
     """t2 after t1; t1's target must equal t2's source (structurally)."""
-    if t1.target != t2.source:
+    if t1.target is not t2.source and t1.target != t2.source:
         raise NotComposable("morphism composition: middle groupoid mismatch")
     return GroupoidMorphism(
         t1.source,
@@ -510,8 +514,7 @@ def _loop_vanishes(p: PresentedGroupoid, w: Word) -> Verdict:
     reduced = p.free_reduce(w)
     if reduced.is_empty:
         return Verdict.verified(LEVEL_SYNTACTIC)
-    key = canonical_cyclic(reduced.letters)
-    if key in {canonical_cyclic(r.letters) for r in p.relators}:
+    if canonical_cyclic(reduced.letters) in p._relator_keys:
         return Verdict.verified(LEVEL_SYNTACTIC)
     data = p.isotropy_data(p.word_source(w))
     hat = data.rewrite_loop(reduced)

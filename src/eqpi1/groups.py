@@ -10,6 +10,7 @@ representative.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 
 class NoIdentity(ValueError):
@@ -71,6 +72,25 @@ class FiniteGroup:
     def conj(self, g: int, x: int) -> int:
         """g^-1 * x * g."""
         return self.mul(self.mul(self.inv(g), x), g)
+
+    @cached_property
+    def subgroups(self) -> tuple:
+        """Every subgroup, ordered by (order, element tuple), enumerated once
+        per group.  The cache lives in the instance __dict__, not in a
+        field, so equality and hashing are unchanged."""
+        found = {(self.identity,)}
+        frontier = [(self.identity,)]
+        while frontier:
+            base = frontier.pop()
+            for g in self.elements():
+                if g in base:
+                    continue
+                bigger = subgroup_closure(self, base + (g,)).elements
+                if bigger not in found:
+                    found.add(bigger)
+                    frontier.append(bigger)
+        ordered = sorted(found, key=lambda t: (len(t), t))
+        return tuple(Subgroup(t) for t in ordered)
 
 
 def group_from_table(table) -> FiniteGroup:
@@ -186,19 +206,20 @@ class Subgroup:
 
 
 def subgroup_closure(group: FiniteGroup, elems) -> Subgroup:
-    current = {group.identity}
-    current.update(elems)
-    while True:
-        extra = set()
-        for a in current:
-            for b in current:
-                c = group.mul(a, b)
-                if c not in current:
-                    extra.add(c)
-        if not extra:
-            break
-        current.update(extra)
-    return Subgroup(tuple(sorted(current)))
+    """The subgroup generated by elems: a breadth-first search from the
+    identity, right-multiplying by each generator (in a finite group the
+    generated monoid is the generated subgroup), O(|H|*|elems|)."""
+    gens = tuple(set(elems))
+    seen = {group.identity}
+    frontier = [group.identity]
+    while frontier:
+        row = group.table[frontier.pop()]
+        for g in gens:
+            c = row[g]
+            if c not in seen:
+                seen.add(c)
+                frontier.append(c)
+    return Subgroup(tuple(sorted(seen)))
 
 
 def is_subgroup(group: FiniteGroup, elems) -> bool:
@@ -210,20 +231,9 @@ def is_subgroup(group: FiniteGroup, elems) -> bool:
 
 def enumerate_subgroups(group: FiniteGroup) -> list:
     """All subgroups, ordered by (order, element tuple); this ordering
-    defines the subgroup ids used in documents and reports."""
-    found = {(group.identity,)}
-    frontier = [(group.identity,)]
-    while frontier:
-        base = frontier.pop()
-        for g in group.elements():
-            if g in base:
-                continue
-            bigger = subgroup_closure(group, set(base) | {g}).elements
-            if bigger not in found:
-                found.add(bigger)
-                frontier.append(bigger)
-    ordered = sorted(found, key=lambda t: (len(t), t))
-    return [Subgroup(t) for t in ordered]
+    defines the subgroup ids used in documents and reports.  A fresh list
+    of the per-group cache `FiniteGroup.subgroups`."""
+    return list(group.subgroups)
 
 
 def conjugate_subgroup(group: FiniteGroup, g: int, h: Subgroup) -> Subgroup:

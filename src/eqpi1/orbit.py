@@ -3,9 +3,10 @@
 Objects are the cosets spaces G/H for H in the family; a morphism
 G/H -> G/K is the G-map xH -> xgK determined by a coset gK with
 g^-1 H g contained in K.  Composing xH -> xaK with xK -> xbL gives
-xH -> x(ab)L.  Everything is enumerated eagerly and ordered
+xH -> x(ab)L.  Everything is enumerated eagerly, once, and ordered
 deterministically: objects by subgroup id, morphisms by
-(source id, target id, coset representative).
+(source id, target id, coset representative).  Composition and identities
+are lookups in an index keyed by (source, target, coset representative).
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from .groups import (
     Subgroup,
     SubgroupFamily,
     enumerate_subgroups,
-    left_coset,
     left_cosets,
 )
 
@@ -99,6 +99,23 @@ class OrbitCategory:
                         ms.append(OrbitMorphism(hid, kid, coset.elements))
                 ms.sort(key=lambda m: m.representative)
                 self._homs[(hid, kid)] = tuple(ms)
+        self._morphisms = tuple(
+            m for hid in self.objects for kid in self.objects
+            for m in self._homs[(hid, kid)]
+        )
+        # the index: (source, target, coset representative) -> morphism, and
+        # into[kid], the morphisms with target kid in morphisms() order
+        self._by_rep = {
+            (m.source, m.target, m.representative): m for m in self._morphisms
+        }
+        into = {kid: [] for kid in self.objects}
+        for m in self._morphisms:
+            into[m.target].append(m)
+        self.into = {kid: tuple(ms) for kid, ms in into.items()}
+        self._identity = {
+            hid: self._by_rep[(hid, hid, self.coset_rep[hid][g.identity])]
+            for hid in self.objects
+        }
 
     def hom(self, h, k) -> tuple:
         hid, kid = self._as_id(h), self._as_id(k)
@@ -109,32 +126,25 @@ class OrbitCategory:
         return self._homs[(hid, kid)]
 
     def identity(self, h) -> OrbitMorphism:
-        hid = self._as_id(h)
-        sub = self.subgroup(hid)
-        cos = left_coset(self.group, self.group.identity, sub)
-        return OrbitMorphism(hid, hid, cos.elements)
+        return self._identity[self._as_id(h)]
 
     def is_identity(self, m: OrbitMorphism) -> bool:
         return m.source == m.target and m == self.identity(m.source)
 
     def compose(self, beta: OrbitMorphism, alpha: OrbitMorphism) -> OrbitMorphism:
-        """beta after alpha: target(alpha) must equal source(beta)."""
+        """beta after alpha: target(alpha) must equal source(beta).  The
+        composite's coset is (a*b)L, looked up in the index."""
         if alpha.target != beta.source:
             raise NotComposable(
                 f"cannot compose {beta} after {alpha}: object mismatch"
             )
-        g = self.group
-        prod = g.mul(alpha.representative, beta.representative)
-        cos = left_coset(g, prod, self.subgroup(beta.target))
-        return OrbitMorphism(alpha.source, beta.target, cos.elements)
+        prod = self.group.mul(alpha.representative, beta.representative)
+        rep = self.coset_rep[beta.target][prod]
+        return self._by_rep[(alpha.source, beta.target, rep)]
 
-    def morphisms(self) -> list:
+    def morphisms(self) -> tuple:
         """All morphisms in deterministic order."""
-        out = []
-        for hid in self.objects:
-            for kid in self.objects:
-                out.extend(self._homs[(hid, kid)])
-        return out
+        return self._morphisms
 
     def apply(self, m: OrbitMorphism, coset_rep: int) -> int:
         """The underlying G-map on cosets: the coset (rep)H maps to the coset
@@ -142,29 +152,22 @@ class OrbitCategory:
         return self.coset_rep[m.target][self.group.mul(coset_rep, m.representative)]
 
     def _check_laws(self):
-        # identities act as units; composition closed; associativity is
-        # checked exhaustively for small groups only (it is implied by the
-        # group laws, so this is a self-check, not a user-facing validation)
-        ms = self.morphisms()
+        # identities act as units; associativity is checked exhaustively for
+        # small groups only (it is implied by the group laws, so this is a
+        # self-check, not a user-facing validation)
+        ms = self._morphisms
         for m in ms:
             left = self.compose(self.identity(m.target), m)
             right = self.compose(m, self.identity(m.source))
             if left != m or right != m:
                 raise AssertionError(f"identity law fails at {m}")
-            if m not in self._homs[(m.source, m.target)]:
-                raise AssertionError(f"composition not closed at {m}")
         if self.group.order <= 12:
-            by_source = {}
-            for m in ms:
-                by_source.setdefault(m.source, []).append(m)
-            for a in ms:
-                for b in by_source.get(a.target, ()):
-                    ba = self.compose(b, a)
-                    for c in by_source.get(b.target, ()):
-                        if self.compose(c, ba) != self.compose(
-                            self.compose(c, b), a
-                        ):
+            for c in ms:
+                for b in self.into[c.source]:
+                    cb = self.compose(c, b)
+                    for a in self.into[b.source]:
+                        c_ba = self.compose(c, self.compose(b, a))
+                        if c_ba != self.compose(cb, a):
                             raise AssertionError(
                                 f"associativity fails on ({c}, {b}, {a})"
                             )
-

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .functors import NaturalTransformation, OrbFunctor, induced_functor_from_complex
+from .functors import NaturalTransformation, OrbFunctor, _induced_functor
 from .groupoids import (
     Word,
     canonical_cyclic,
@@ -324,7 +324,7 @@ def comparison_transformation(
     """The canonical comparison from the input functor to the induced
     functor of the realized space: objects go to their classes, generators
     to their copy edges in the identity-coset copy."""
-    computed = induced_functor_from_complex(result.space, f.category.family)
+    computed = _induced_functor(result.space, f.category)
     cat = f.category
     components = {}
     for hid in cat.objects:

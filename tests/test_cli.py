@@ -257,6 +257,28 @@ def test_unusable_input(capsys, tmp_path):
     assert "line 1, column 7" in err
 
 
+def test_unreadable_input_exits_three(capsys, tmp_path, monkeypatch):
+    code, out, err = run(capsys, "validate", str(tmp_path))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "Is a directory" in err
+
+    binary = tmp_path / "binary.eqp"
+    binary.write_bytes(b"\xff\xfe\x00")
+    code, _, err = run(capsys, "homology", str(binary))
+    assert code == 3
+    assert len(err.splitlines()) == 1 and "internal error" not in err
+
+    def denied(path):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr(eqpi1.cli, "parse_path", denied)
+    code, _, err = run(capsys, "realize", TORUS)
+    assert code == 3
+    assert err.splitlines() == [f"error: [Errno 13] Permission denied: '{TORUS}'"]
+
+
 def test_realize_machine_format(capsys):
     code, out, _ = run(capsys, "realize", TORUS, "--format", "machine")
     assert code == 0

@@ -347,8 +347,10 @@ def test_rendering_needs_parsed_functors(torus_doc):
         torus_doc.group, True, torus_doc.family, {}, {"f": f}, {}, (("functor", "f"),)
     )
     assert "functor f {" in render_document(bare)
+    assert f.value_names == {0: "torus_group", 1: "circle_pair"}
     x = next(iter(torus_doc.complexes.values()))
     computed = induced_functor_from_complex(x)
+    assert computed.value_names is None
     homemade = InputDocument(
         torus_doc.group, True, None, {}, {"f": computed}, {}, (("functor", "f"),)
     )

@@ -27,7 +27,13 @@ from eqpi1.groupoids import (
     Word,
     identity_morphism,
 )
-from eqpi1.groups import cyclic_group, family_all, family_trivial, trivial_group
+from eqpi1.groups import (
+    cyclic_group,
+    family_all,
+    family_trivial,
+    symmetric_group,
+    trivial_group,
+)
 from eqpi1.orbit import OrbitCategory
 
 
@@ -255,3 +261,48 @@ def test_naturality_guards(torus_doc):
     )
     v = wrong.naturality()
     assert v.is_refuted and v.witness["check"] == "component endpoints"
+
+
+def test_broken_functor_keeps_its_refuting_pair():
+    # pairs are visited beta-major in morphisms() order, alpha in into[]
+    # order; the first failing pair is the witness and must stay put
+    s3 = symmetric_group(3)
+    cat = OrbitCategory(s3, family_all(s3))
+    circ = circle_groupoid()
+    ident = identity_morphism(circ)
+    arrows = {m: ident for m in cat.morphisms()}
+    arrows[find_morphism(cat, "H0->H3:g0")] = flip_on(circ)
+    v = validate_functoriality(OrbFunctor(cat, {h: circ for h in cat.objects}, arrows))
+    assert v.is_refuted
+    assert v.witness["check"] == "composition law"
+    assert v.witness["pair"] == ("H0->H3:g0", "H0->H0:g1")
+
+
+def test_completion_order_and_refuting_pair():
+    # arrows out of the free orbit with a nontrivial representative are
+    # derived by composition, first definition wins; the given data
+    # disagree, so which composite wins shows the pair order
+    s3 = symmetric_group(3)
+    cat = OrbitCategory(s3, family_all(s3))
+    circ = circle_groupoid()
+    derived = [
+        m for m in cat.morphisms()
+        if m.source == 0 and m.target != 0 and m.representative != 0
+    ]
+    flip, ident = flip_on(circ), identity_morphism(circ)
+    given = {
+        m: flip if (m.representative + m.target) % 2 else ident
+        for m in cat.morphisms()
+        if m not in derived and not cat.is_identity(m)
+    }
+    f = make_functor(cat, {h: circ for h in cat.objects}, given)
+    flipped = [
+        str(m) for m in derived
+        if f.arrows[m].generator_map["x"].letters == (("x", -1),)
+    ]
+    assert flipped == [
+        "H0->H1:g2", "H0->H1:g4", "H0->H2:g1", "H0->H2:g3", "H0->H3:g2", "H0->H4:g1",
+    ]
+    v = validate_functoriality(f)
+    assert v.is_refuted
+    assert v.witness["pair"] == ("H0->H0:g2", "H0->H0:g1")

@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from eqpi1.groups import (
     NoIdentity,
@@ -228,3 +230,52 @@ def test_validate_family_rejects_unclosed():
         validate_family(g, [whole])
     with pytest.raises(ValueError):
         validate_family(g, [Subgroup((0, 1, 2))])
+
+
+def naive_closure(g, elems):
+    """The all-pairs closure subgroup_closure used before its search."""
+    current = {g.identity, *elems}
+    while True:
+        extra = {g.mul(a, b) for a in current for b in current} - current
+        if not extra:
+            return tuple(sorted(current))
+        current |= extra
+
+
+S4 = symmetric_group(4)
+
+
+@given(st.lists(st.integers(0, S4.order - 1), max_size=4))
+def test_subgroup_closure_matches_naive_closure(gens):
+    assert subgroup_closure(S4, gens).elements == naive_closure(S4, gens)
+
+
+def test_enumerate_subgroups_s4_matches_naive_enumeration():
+    # the enumeration before subgroups were cached: join each subgroup with
+    # each element under the naive closure, then order by (order, elements)
+    found = {(S4.identity,)}
+    frontier = [(S4.identity,)]
+    while frontier:
+        base = frontier.pop()
+        for x in S4.elements():
+            bigger = naive_closure(S4, set(base) | {x})
+            if bigger not in found:
+                found.add(bigger)
+                frontier.append(bigger)
+    want = sorted(found, key=lambda t: (len(t), t))
+    subs = enumerate_subgroups(S4)
+    assert len(subs) == 30
+    assert [s.elements for s in subs] == want
+
+
+def test_enumerate_subgroups_is_cached_per_group():
+    g = symmetric_group(4)
+    first = enumerate_subgroups(g)
+    first.clear()
+    again = enumerate_subgroups(g)
+    assert len(again) == 30 and again is not first
+    assert g.subgroups is g.subgroups
+    # the cache is not a field: equality and hashing ignore it
+    fresh = symmetric_group(4)
+    assert fresh == g and hash(fresh) == hash(g)
+    assert "subgroups" not in fresh.__dict__

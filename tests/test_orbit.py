@@ -21,7 +21,10 @@ from eqpi1.orbit import (
 GROUPS = {
     "z2": cyclic_group(2),
     "z4": cyclic_group(4),
+    "c6": cyclic_group(6),
     "s3": symmetric_group(3),
+    # order 24: beyond the construction-time associativity self-check
+    "s4": symmetric_group(4),
 }
 
 
@@ -101,7 +104,10 @@ def test_composition_closed_and_associative(name):
     for a in ms:
         for b in by_source.get(a.target, ()):
             ba = cat.compose(b, a)
-            assert ba.source == a.source and ba.target == b.target
+            # the indexed lookup agrees with coset arithmetic: (a*b)K
+            prod = g.mul(a.representative, b.representative)
+            coset = left_coset(g, prod, cat.subgroup(b.target)).elements
+            assert ba == OrbitMorphism(a.source, b.target, coset)
             assert ba in cat.hom(ba.source, ba.target)
             for c in by_source.get(b.target, ()):
                 assert cat.compose(c, ba) == cat.compose(cat.compose(c, b), a)
@@ -174,3 +180,15 @@ def test_morphism_str_and_coset():
     m = OrbitMorphism(0, 1, (0, 1))
     assert m.representative == 0
     assert str(m) == "H0->H1:g0"
+
+
+def test_index_matches_scans():
+    g = symmetric_group(4)
+    cat = OrbitCategory(g, family_all(g))
+    ms = cat.morphisms()
+    assert cat.morphisms() is ms
+    for kid in cat.objects:
+        assert cat.into[kid] == tuple(m for m in ms if m.target == kid)
+        ident = cat.identity(kid)
+        assert ident.coset == cat.subgroup(kid).elements
+        assert cat.identity(cat.subgroup(kid)) is ident
