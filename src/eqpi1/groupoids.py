@@ -18,7 +18,8 @@ surviving generators.
 
 from __future__ import annotations
 
-from collections import deque
+import heapq
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -168,67 +169,108 @@ def substitute_letters(letters, subst) -> tuple:
     return free_reduce_letters(out)
 
 
+def _occurring_once(letters) -> list:
+    counts = {}
+    for lab, _ in letters:
+        counts[lab] = counts.get(lab, 0) + 1
+    return [lab for lab, c in counts.items() if c == 1]
+
+
 def simplify_presentation(pres: GroupPresentation):
     """Deterministic Tietze simplification.
 
-    Repeatedly: cyclically reduce and deduplicate relators, then eliminate a
-    generator that occurs exactly once in some relator (shortest relator
-    first; among candidates the latest-declared generator is eliminated, so
-    early generators survive as the preferred basis).  Returns the reduced
-    presentation and a substitution expressing every original generator as a
-    word in the surviving ones.
+    Relators are cyclically reduced and deduplicated up to rotation and
+    inversion, the earliest-listed copy surviving.  Then, repeatedly, a
+    generator that occurs exactly once in some relator is eliminated: the
+    first relator in (length, letters) order that has such a generator is
+    used, and among its candidates the latest-declared generator goes, so
+    early generators survive as the preferred basis.
+
+    The pass is incremental: each relator's canonical key is computed when
+    the relator changes, an occurrence index finds the relators that contain
+    the eliminated generator, and only those are rewritten, re-reduced and
+    re-keyed.  Eliminations are logged, and the substitution expressing
+    every original generator as a word in the surviving ones is composed
+    once at the end by back-substituting the log in reverse (free reduction
+    is confluent, so this equals rewriting the substitution every round).
+    Returns the reduced presentation and that substitution.
     """
-    gens = list(pres.generators)
     order = {g: i for i, g in enumerate(pres.generators)}
-    relators = [cyclic_reduce_letters(r) for r in pres.relators]
-    subst = {g: ((g, 1),) for g in pres.generators}
+    rels = []  # relator index -> letters, None once dropped
+    keys = []  # relator index -> canonical_cyclic key of its letters
+    holder = {}  # key -> index of the live relator holding it
+    occurs = defaultdict(set)  # generator -> indices of relators containing it
+    ready = []  # heap of (len, letters, index) of relators with a candidate
 
-    while True:
-        relators = [r for r in (cyclic_reduce_letters(r) for r in relators) if r]
-        seen = set()
-        dedup = []
-        for r in relators:
-            key = canonical_cyclic(r)
-            if key and key not in seen:
-                seen.add(key)
-                dedup.append(r)
-        relators = dedup
+    def unlink(i):
+        del holder[keys[i]]
+        for lab, _ in rels[i]:
+            occurs[lab].discard(i)
 
-        victim = None
-        for r in sorted(relators, key=lambda r: (len(r), r)):
-            counts = {}
-            for lab, _ in r:
-                counts[lab] = counts.get(lab, 0) + 1
-            once = [lab for lab, c in counts.items() if c == 1]
-            if once:
-                lab = max(once, key=order.__getitem__)
-                victim = (r, lab)
-                break
-        if victim is None:
-            break
+    def install(i, letters):
+        """Make letters (cyclically reduced) relator i, unless it is empty
+        or an earlier relator already holds its key."""
+        rels[i] = None
+        if not letters:
+            return
+        key = canonical_cyclic(letters)
+        other = holder.get(key)
+        if other is not None:
+            if other < i:
+                return
+            unlink(other)
+            rels[other] = None
+        rels[i], keys[i], holder[key] = letters, key, i
+        for lab, _ in letters:
+            occurs[lab].add(i)
+        if _occurring_once(letters):
+            heapq.heappush(ready, (len(letters), letters, i))
 
-        r, lab = victim
-        pos = next(i for i, (l, _) in enumerate(r) if l == lab)
+    for i, r in enumerate(pres.relators):
+        rels.append(None)
+        keys.append(None)
+        install(i, cyclic_reduce_letters(r))
+
+    log = []
+    while ready:
+        _, r, i = heapq.heappop(ready)
+        if rels[i] != r:
+            continue  # the relator changed or was dropped after this push
+        lab = max(_occurring_once(r), key=order.__getitem__)
+        pos = next(k for k, (l, _) in enumerate(r) if l == lab)
         rot = r[pos + 1:] + r[:pos]  # r rotated so the victim letter is last
-        exp = r[pos][1]
         # r = 1 solves to lab = rot^-1 (exp +1) or lab = rot (exp -1)
-        replacement = invert_letters(rot) if exp == 1 else rot
-        repl_map = {lab: replacement}
-        step = {
-            g: substitute_letters(w, {**{x: ((x, 1),) for x in gens}, **repl_map})
-            for g, w in subst.items()
-        }
-        subst = step
-        relators = [
-            substitute_letters(
-                rr, {**{x: ((x, 1),) for x in gens}, **repl_map}
-            )
-            for rr in relators
-            if rr is not r
-        ]
-        gens.remove(lab)
+        replacement = invert_letters(rot) if r[pos][1] == 1 else rot
+        log.append((lab, replacement))
+        unlink(i)
+        rels[i] = None
 
-    return GroupPresentation(tuple(gens), tuple(relators)), subst
+        inverse = invert_letters(replacement)
+        touched = sorted(occurs.pop(lab, ()))
+        # release every old key first, so that a rewritten relator is
+        # compared only against current letters
+        for j in touched:
+            unlink(j)
+        for j in touched:
+            out = []
+            for l, e in rels[j]:
+                if l == lab:
+                    out.extend(replacement if e == 1 else inverse)
+                else:
+                    out.append((l, e))
+            install(j, cyclic_reduce_letters(out))
+
+    resolved = {}  # eliminated generator -> word in the survivors
+    for lab, replacement in reversed(log):
+        out = []
+        for l, e in replacement:
+            w = resolved.get(l, ((l, 1),))
+            out.extend(w if e == 1 else invert_letters(w))
+        resolved[lab] = free_reduce_letters(out)
+    subst = {g: resolved.get(g, ((g, 1),)) for g in pres.generators}
+    gens = tuple(g for g in pres.generators if g not in resolved)
+    relators = tuple(r for r in rels if r is not None)
+    return GroupPresentation(gens, relators), subst
 
 
 def certified_abelian(pres: GroupPresentation) -> bool:

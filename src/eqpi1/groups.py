@@ -159,7 +159,9 @@ def cycles_to_permutation(cycles, degree: int):
 def group_from_permutations(generators, degree: int) -> FiniteGroup:
     """Close a set of permutations (image tuples) under composition and build
     the multiplication table.  Elements are ordered lexicographically by
-    image tuple, which places the identity first."""
+    image tuple, which places the identity first.  The table is not checked
+    again: composition of permutations is associative, and each element's
+    inverse is where the identity appears in its row."""
     idp = tuple(range(degree))
     gens = [tuple(g) for g in generators]
     for g in gens:
@@ -176,10 +178,12 @@ def group_from_permutations(generators, degree: int) -> FiniteGroup:
                 frontier.append(q)
     ordered = sorted(elems)
     index = {p: i for i, p in enumerate(ordered)}
-    table = [
-        [index[_compose_perm(a, b)] for b in ordered] for a in ordered
-    ]
-    return group_from_table(table)
+    table = tuple(
+        tuple(index[_compose_perm(a, b)] for b in ordered) for a in ordered
+    )
+    identity = index[idp]
+    inverse = tuple(row.index(identity) for row in table)
+    return FiniteGroup(table, identity, inverse)
 
 
 def symmetric_group(n: int) -> FiniteGroup:

@@ -19,12 +19,14 @@ from eqpi1.functors import (
     make_functor,
     validate_functoriality,
 )
+from eqpi1.functors import _same_as_composite, _same_morphism
 from eqpi1.groupoids import (
     EMPTY_GROUPOID,
     Gen,
     GroupoidMorphism,
     PresentedGroupoid,
     Word,
+    compose_morphisms,
     identity_morphism,
 )
 from eqpi1.groups import (
@@ -306,3 +308,38 @@ def test_completion_order_and_refuting_pair():
     v = validate_functoriality(f)
     assert v.is_refuted
     assert v.witness["pair"] == ("H0->H0:g2", "H0->H0:g1")
+
+
+def test_composite_check_matches_built_composite():
+    # the law check compares generator images without building composites;
+    # on every composable pair it must give the verdict the built composite
+    # gives: equal reduced words, words equal only modulo the relator x x,
+    # words that differ in the abelianization, and object maps that differ
+    p = PresentedGroupoid(
+        ("u", "v"),
+        (Gen("x", "u", "u"), Gen("y", "u", "v")),
+        (Word((("x", 1), ("x", 1))),),
+    )
+    fixed = {"u": "u", "v": "v"}
+    flip = GroupoidMorphism(
+        p, p, fixed, {"x": Word.gen("x", -1), "y": Word.gen("y")}
+    )
+    swap = GroupoidMorphism(
+        p, p, {"u": "v", "v": "u"},
+        {"x": Word((("y", -1), ("x", 1), ("y", 1))), "y": Word.gen("y", -1)},
+    )
+    twist = GroupoidMorphism(
+        p, p, fixed, {"x": Word.gen("x"), "y": Word((("x", 1), ("y", 1)))}
+    )
+    choices = (identity_morphism(p), flip, swap, twist)
+    s3 = symmetric_group(3)
+    cat = OrbitCategory(s3, family_all(s3))
+    for step in (1, 2, 3, 5):
+        arrows = {m: choices[i * step % 7 % 4] for i, m in enumerate(cat.morphisms())}
+        for beta in cat.morphisms():
+            for alpha in cat.into[beta.source]:
+                direct = arrows[cat.compose(beta, alpha)]
+                built = compose_morphisms(arrows[alpha], arrows[beta])
+                assert _same_as_composite(
+                    direct, arrows[beta], arrows[alpha]
+                ) == _same_morphism(direct, built)

@@ -1,6 +1,13 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from naive_tietze import naive_simplify_presentation
+
+from eqpi1 import groupoids
+from eqpi1.documents import parse_document
+from eqpi1.functors import induced_functor_from_complex
+from eqpi1.groups import family_all
+from eqpi1.realize import verify_fundamental_functor
 
 from eqpi1.groupoids import (
     EMPTY_GROUPOID,
@@ -164,6 +171,79 @@ def test_simplify_drops_duplicate_relators():
     pres = GroupPresentation(("a", "b"), (r, rotated, invert_letters(r)))
     simp, _ = simplify_presentation(pres)
     assert len(simp.relators) == 1
+
+
+@st.composite
+def presentations(draw):
+    """Random presentations, with relators repeated up to rotation or
+    inversion, cancelling pairs inserted, and empty relators."""
+    gens = tuple("abcde"[: draw(st.integers(0, 5))])
+    word = st.lists(
+        st.tuples(st.sampled_from(gens or "a"), st.sampled_from((1, -1))),
+        max_size=7 if gens else 0,
+    ).map(tuple)
+    relators = draw(st.lists(word, max_size=6))
+    for r in list(relators):
+        kind = draw(st.sampled_from(("none", "rotate", "invert", "pair", "empty")))
+        if kind == "rotate" and r:
+            k = draw(st.integers(0, len(r) - 1))
+            relators.append(r[k:] + r[:k])
+        elif kind == "invert":
+            relators.append(invert_letters(r))
+        elif kind == "pair" and gens:
+            k = draw(st.integers(0, len(r)))
+            g = draw(st.sampled_from(gens))
+            relators.append(r[:k] + ((g, 1), (g, -1)) + r[k:])
+        elif kind == "empty":
+            relators.append(())
+    return GroupPresentation(gens, tuple(draw(st.permutations(relators))))
+
+
+def assert_matches_naive(pres):
+    simp, subst = simplify_presentation(pres)
+    want, want_subst = naive_simplify_presentation(pres)
+    assert simp == want
+    assert list(subst.items()) == list(want_subst.items())
+
+
+@given(presentations())
+@settings(max_examples=300, deadline=None)
+@example(  # b = a empties the commutator [a, b]
+    GroupPresentation(
+        ("a", "b"), ((("a", 1), ("b", 1), ("a", -1), ("b", -1)), (("b", 1), ("a", -1)))
+    )
+)
+def test_simplify_matches_naive_oracle(pres):
+    assert_matches_naive(pres)
+
+
+@pytest.mark.parametrize(
+    "args, size, simplified",
+    [((6, 0), (66, 468), (0, 0)), ((5, 0, 3), (70, 425), (5, 5))],
+    ids=["cone6", "cone5-loops"],
+)
+def test_simplify_matches_naive_on_cone_comparisons(
+    bench_inputs, monkeypatch, args, size, simplified
+):
+    # every presentation the closing functor comparison simplifies,
+    # including the one large isotropy presentation of the realization
+    (x,) = parse_document(bench_inputs.cone(*args)).complexes.values()
+    f = induced_functor_from_complex(x, family_all(x.group))
+    seen = []
+
+    def record(pres):
+        seen.append(pres)
+        return simplify_presentation(pres)
+
+    monkeypatch.setattr(groupoids, "simplify_presentation", record)
+    verify_fundamental_functor(f)
+    monkeypatch.undo()
+    big = max(seen, key=lambda p: len(p.relators))
+    assert (len(big.generators), len(big.relators)) == size
+    simp, _ = simplify_presentation(big)
+    assert (len(simp.generators), len(simp.relators)) == simplified
+    for pres in seen:
+        assert_matches_naive(pres)
 
 
 def test_certified_abelian():

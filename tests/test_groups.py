@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 from hypothesis import given
@@ -126,6 +127,22 @@ def test_group_from_permutations():
 def test_group_from_permutations_closes():
     g = group_from_permutations([(1, 2, 0)], 3)
     assert g.order == 3
+
+
+def test_permutation_groups_equal_their_checked_tables():
+    # permutation input skips group_from_table's checks; the checked table
+    # must give the same group, identity and inverses included
+    for g in (symmetric_group(4), group_from_permutations([(1, 0, 3, 2)], 4)):
+        assert g == group_from_table(g.table)
+
+
+def test_symmetric_group_s6_builds_quickly():
+    start = time.perf_counter()
+    g = symmetric_group(6)
+    assert g.order == 720
+    assert time.perf_counter() - start < 10
+    assert g.identity == 0
+    assert all(g.mul(a, g.inv(a)) == 0 for a in g.elements())
 
 
 def test_mul_inv_conj():
