@@ -28,10 +28,9 @@ from .groupoids import (
     GroupoidMorphism,
     PresentedGroupoid,
     Word,
-    canonical_cyclic,
     check_respects_relations,
     cyclic_reduce_letters,
-    free_reduce_letters,
+    expand_letters,
     invert_letters,
     rotation_equal,
 )
@@ -193,14 +192,36 @@ class GCellComplex:
         return Word(tuple(out), at=at)
 
     def translate_chain(self, g, chain, sign: int = 1) -> tuple:
-        out = {}
-        for coef, lab in chain:
-            img, s = self.action[g][lab]
-            out[img] = out.get(img, 0) + sign * s * coef
-        return tuple(sorted((c, lab) for lab, c in out.items() if c != 0))
+        table = self.action[g]
+        return _chain_normal(
+            (sign * table[lab][1] * coef, table[lab][0]) for coef, lab in chain
+        )
+
+    @cached_property
+    def _boundaries(self) -> list:
+        """Sparse matrices of d1, d2, d3, built once per complex; callers
+        must not mutate them."""
+        v_idx = {v: i for i, v in enumerate(self.vertices)}
+        e_idx = {e.label: i for i, e in enumerate(self.edges)}
+        f_idx = {f.label: i for i, f in enumerate(self.faces)}
+        return [
+            SparseMatrix.from_terms(
+                (((v_idx[e.target], 1), (v_idx[e.source], -1)) for e in self.edges),
+                len(self.vertices),
+            ),
+            SparseMatrix.from_terms(
+                (((e_idx[lab], exp) for lab, exp in f.word.letters) for f in self.faces),
+                len(self.edges),
+            ),
+            SparseMatrix.from_terms(
+                (((f_idx[lab], coef) for coef, lab in s.chain) for s in self.solids),
+                len(self.faces),
+            ),
+        ]
 
 
 def _chain_normal(chain) -> tuple:
+    """Sum the terms (coef, label) per label, drop zeros, sort."""
     out = {}
     for coef, lab in chain:
         out[lab] = out.get(lab, 0) + coef
@@ -209,6 +230,56 @@ def _chain_normal(chain) -> tuple:
 
 def trivial_action(cells) -> dict:
     return {0: {lab: (lab, 1) for lab in cells}}
+
+
+def _plain_complex(vertices, edges, faces, solids) -> GCellComplex:
+    """A complex over the trivial group."""
+    cells = list(vertices) + [c.label for c in (*edges, *faces, *solids)]
+    return GCellComplex(
+        trivial_group(), tuple(vertices), tuple(edges), tuple(faces),
+        tuple(solids), trivial_action(cells),
+    )
+
+
+def _relabel_word(w: Word, name) -> Word:
+    return Word(
+        tuple((name(lab), exp) for lab, exp in w.letters),
+        at=name(w.at) if w.at is not None else None,
+    )
+
+
+def _relabel_cells(x: GCellComplex, name) -> tuple:
+    """x's vertices, edges, faces and solids, as lists, with every label
+    passed through name."""
+    return (
+        [name(v) for v in x.vertices],
+        [Edge(name(e.label), name(e.source), name(e.target)) for e in x.edges],
+        [Face(name(f.label), _relabel_word(f.word, name)) for f in x.faces],
+        [
+            Solid(name(s.label), tuple((c, name(lab)) for c, lab in s.chain))
+            for s in x.solids
+        ],
+    )
+
+
+def _walk(endpoint, w: Word):
+    """Follow an edge path, endpoint mapping an edge label to its (source,
+    target).  Returns (start, end, None), the anchor twice for an empty
+    word, or (start, end so far, letter) at the first letter that is not an
+    edge or does not start where the path stands."""
+    if not w.letters:
+        return w.at, w.at, None
+    first = cur = None
+    for lab, exp in w.letters:
+        if lab not in endpoint:
+            return first, cur, (lab, exp)
+        s, t = endpoint[lab] if exp == 1 else endpoint[lab][::-1]
+        if cur is None:
+            first = s
+        elif cur != s:
+            return first, cur, (lab, exp)
+        cur = t
+    return first, cur, None
 
 
 def validate_complex(x: GCellComplex) -> Verdict:
@@ -220,25 +291,15 @@ def validate_complex(x: GCellComplex) -> Verdict:
 
     endpoint = {e.label: (e.source, e.target) for e in x.edges}
     for f in x.faces:
-        cur = None
-        first = None
-        broken = None
-        for lab, exp in f.word.letters:
-            s, t = endpoint[lab] if exp == 1 else endpoint[lab][::-1]
-            if cur is None:
-                first = s
-            elif cur != s:
-                broken = (lab, exp)
-                break
-            cur = t
+        first, last, broken = _walk(endpoint, f.word)
         if broken is not None:
             return Verdict.refuted(
                 {"check": "face word composable", "face": f.label, "letter": broken},
                 LEVEL_SYNTACTIC,
             )
-        if f.word.letters and first != cur:
+        if first != last:
             return Verdict.refuted(
-                {"check": "face word closed", "face": f.label, "ends": (first, cur)},
+                {"check": "face word closed", "face": f.label, "ends": (first, last)},
                 LEVEL_SYNTACTIC,
             )
     verdicts.append(Verdict.verified(LEVEL_SYNTACTIC))
@@ -330,25 +391,9 @@ def validate_complex(x: GCellComplex) -> Verdict:
 
 def boundary_matrices(x: GCellComplex, max_dim: int = 3):
     """Sparse matrices of d1 .. d_max_dim; row and column indices follow
-    the order of the cells in x."""
-    v_idx = {v: i for i, v in enumerate(x.vertices)}
-    e_idx = {e.label: i for i, e in enumerate(x.edges)}
-    f_idx = {f.label: i for i, f in enumerate(x.faces)}
-    mats = [
-        SparseMatrix.from_terms(
-            (((v_idx[e.target], 1), (v_idx[e.source], -1)) for e in x.edges),
-            len(x.vertices),
-        ),
-        SparseMatrix.from_terms(
-            (((e_idx[lab], exp) for lab, exp in f.word.letters) for f in x.faces),
-            len(x.edges),
-        ),
-        SparseMatrix.from_terms(
-            (((f_idx[lab], coef) for coef, lab in s.chain) for s in x.solids),
-            len(x.faces),
-        ),
-    ]
-    return mats[:max_dim]
+    the order of the cells in x.  The matrices are built once per complex
+    and shared, so they must not be mutated."""
+    return x._boundaries[:max_dim]
 
 
 def homology_of_complex(x: GCellComplex, max_dim: int = 3):
@@ -432,10 +477,7 @@ def fixed_subcomplex(x: GCellComplex, h: Subgroup) -> GCellComplex:
                 raise InvalidComplex(
                     f"fixed cells are not a subcomplex: solid {s.label!r} uses unfixed face {lab!r}"
                 )
-    cells = list(vs) + [e.label for e in es] + [f.label for f in fs] + [
-        s.label for s in ss
-    ]
-    return GCellComplex(trivial_group(), vs, es, fs, ss, trivial_action(cells))
+    return _plain_complex(vs, es, fs, ss)
 
 
 def fundamental_groupoid(x: GCellComplex) -> PresentedGroupoid:
@@ -460,11 +502,8 @@ def presentation_complex(p: PresentedGroupoid) -> GCellComplex:
             lab += "_"
         used.add(lab)
         faces.append(Face(lab, r))
-    edges = tuple(Edge(g.label, g.source, g.target) for g in p.generators)
-    cells = list(p.objects) + [e.label for e in edges] + [f.label for f in faces]
-    return GCellComplex(
-        trivial_group(), p.objects, edges, tuple(faces), (), trivial_action(cells)
-    )
+    edges = [Edge(g.label, g.source, g.target) for g in p.generators]
+    return _plain_complex(p.objects, edges, faces, ())
 
 
 @dataclass
@@ -499,17 +538,17 @@ class CellularMap:
                     {"check": "edge image missing", "edge": e.label},
                     LEVEL_SYNTACTIC,
                 )
-            ends = _word_endpoints(endpoint, w)
-            if ends is None:
+            first, last, broken = _walk(endpoint, w)
+            if broken is not None or first is None:
                 return Verdict.refuted(
                     {"check": "edge image composable", "edge": e.label},
                     LEVEL_SYNTACTIC,
                 )
             want = (self.vertex_map[e.source], self.vertex_map[e.target])
-            if ends != want:
+            if (first, last) != want:
                 return Verdict.refuted(
                     {"check": "edge image endpoints", "edge": e.label,
-                     "got": ends, "want": want},
+                     "got": (first, last), "want": want},
                     LEVEL_SYNTACTIC,
                 )
         if self.face_map is None:
@@ -546,39 +585,23 @@ class CellularMap:
         return Verdict.verified(LEVEL_SYNTACTIC)
 
     def push_word(self, w: Word) -> Word:
-        out = []
-        for lab, exp in w.letters:
-            img = self.edge_map[lab]
-            out.extend(img.letters if exp == 1 else invert_letters(img.letters))
         at = self.vertex_map[w.at] if w.at is not None else None
-        return Word(tuple(out), at=at)
+        return Word(expand_letters(w.letters, self.edge_map), at=at)
 
 
-def _word_endpoints(endpoint, w: Word):
-    if not w.letters:
-        return (w.at, w.at) if w.at is not None else None
-    cur = None
-    first = None
-    for lab, exp in w.letters:
-        if lab not in endpoint:
-            return None
-        s, t = endpoint[lab] if exp == 1 else endpoint[lab][::-1]
-        if cur is None:
-            first = s
-        elif cur != s:
-            return None
-        cur = t
-    return first, cur
+def _inclusion(x: GCellComplex, into: GCellComplex, name) -> CellularMap:
+    """The map sending each cell of x to the cell of into labelled name(label)."""
+    return CellularMap(
+        x,
+        into,
+        {v: name(v) for v in x.vertices},
+        {e.label: Word.gen(name(e.label)) for e in x.edges},
+        {c.label: (name(c.label), 1) for c in x.faces},
+    )
 
 
 def identity_cellular_map(x: GCellComplex) -> CellularMap:
-    return CellularMap(
-        x,
-        x,
-        {v: v for v in x.vertices},
-        {e.label: Word.gen(e.label) for e in x.edges},
-        {f.label: (f.label, 1) for f in x.faces},
-    )
+    return _inclusion(x, x, lambda lab: lab)
 
 
 def realize_morphism(t: GroupoidMorphism) -> CellularMap:
@@ -592,26 +615,19 @@ def realize_morphism(t: GroupoidMorphism) -> CellularMap:
         raise RelationsRefuted(check.witness)
     src = presentation_complex(t.source)
     tgt = presentation_complex(t.target)
-    canon = {}
-    for f in tgt.faces:
-        canon.setdefault(canonical_cyclic(f.word.letters), []).append(f)
     face_map = {}
     rigid = True
     for f, r in zip(src.faces, t.source.relators):
-        image = t.apply(r)
-        reduced = cyclic_reduce_letters(image.letters)
+        reduced = cyclic_reduce_letters(t.apply(r).letters)
         if not reduced:
             face_map[f.label] = None
             continue
-        hit = canon.get(canonical_cyclic(reduced))
-        if not hit:
+        match = t.target.match_relator(reduced)
+        if match is None:
             rigid = False
             break
-        tf = hit[0]
-        if rotation_equal(cyclic_reduce_letters(tf.word.letters), reduced):
-            face_map[f.label] = (tf.label, 1)
-        else:
-            face_map[f.label] = (tf.label, -1)
+        j, sign = match
+        face_map[f.label] = (tgt.faces[j].label, sign)
     return CellularMap(
         src,
         tgt,
@@ -645,22 +661,13 @@ def mapping_cylinder(f: CellularMap, prefix: str = "top."):
 
     top = prefix
     vert = "cyl."
-    vertices = list(f.target.vertices) + [top + v for v in f.source.vertices]
-    edges = list(f.target.edges)
-    edges += [
-        Edge(top + e.label, top + e.source, top + e.target) for e in f.source.edges
-    ]
+    top_v, top_e, top_f, _ = _relabel_cells(f.source, top.__add__)
+    vertices = list(f.target.vertices) + top_v
+    edges = list(f.target.edges) + top_e
     edges += [
         Edge(vert + v, top + v, f.vertex_map[v]) for v in f.source.vertices
     ]
-    faces = list(f.target.faces)
-    faces += [
-        Face(top + c.label, Word(
-            tuple((top + lab, exp) for lab, exp in c.word.letters),
-            at=(top + c.word.at) if c.word.at is not None else None,
-        ))
-        for c in f.source.faces
-    ]
+    faces = list(f.target.faces) + top_f
     for e in f.source.edges:
         boundary = (
             ((top + e.label, 1), (vert + e.target, 1))
@@ -670,47 +677,16 @@ def mapping_cylinder(f: CellularMap, prefix: str = "top."):
         faces.append(Face(vert + e.label, Word(boundary)))
     solids = list(f.target.solids)
     for c in f.source.faces:
-        chain = {(top + c.label): 1}
+        chain = [(1, top + c.label)]
         entry = f.face_map[c.label] if f.face_map else None
         if entry is not None:
             lab, sign = entry
-            chain[lab] = chain.get(lab, 0) - sign
-        for lab, exp in c.word.letters:
-            key = vert + lab
-            chain[key] = chain.get(key, 0) - exp
-        solids.append(
-            Solid(vert + c.label, tuple(sorted(
-                (coef, lab) for lab, coef in chain.items() if coef != 0
-            )))
-        )
-    cells = (
-        vertices
-        + [e.label for e in edges]
-        + [c.label for c in faces]
-        + [s.label for s in solids]
-    )
-    cyl = GCellComplex(
-        trivial_group(),
-        tuple(vertices),
-        tuple(edges),
-        tuple(faces),
-        tuple(solids),
-        trivial_action(cells),
-    )
-    src_end = CellularMap(
-        f.source,
-        cyl,
-        {v: top + v for v in f.source.vertices},
-        {e.label: Word.gen(top + e.label) for e in f.source.edges},
-        {c.label: (top + c.label, 1) for c in f.source.faces},
-    )
-    tgt_end = CellularMap(
-        f.target,
-        cyl,
-        {v: v for v in f.target.vertices},
-        {e.label: Word.gen(e.label) for e in f.target.edges},
-        {c.label: (c.label, 1) for c in f.target.faces},
-    )
+            chain.append((-sign, lab))
+        chain += [(-exp, vert + lab) for lab, exp in c.word.letters]
+        solids.append(Solid(vert + c.label, _chain_normal(chain)))
+    cyl = _plain_complex(vertices, edges, faces, solids)
+    src_end = _inclusion(f.source, cyl, top.__add__)
+    tgt_end = _inclusion(f.target, cyl, lambda lab: lab)
     return cyl, src_end, tgt_end
 
 
@@ -759,29 +735,16 @@ def glue(parts, identifications) -> GCellComplex:
     if len(parts) == 1:
         x = parts[0]
     else:
-        vertices, edges, faces, solids = [], [], [], []
+        cells = ([], [], [], [])
         action = {g: {} for g in group.elements()}
         for i, p in enumerate(parts):
             pre = f"c{i}."
-            vertices += [pre + v for v in p.vertices]
-            edges += [Edge(pre + e.label, pre + e.source, pre + e.target) for e in p.edges]
-            faces += [
-                Face(pre + f.label, Word(
-                    tuple((pre + lab, exp) for lab, exp in f.word.letters),
-                    at=(pre + f.word.at) if f.word.at is not None else None,
-                ))
-                for f in p.faces
-            ]
-            solids += [
-                Solid(pre + s.label, tuple((c, pre + lab) for c, lab in s.chain))
-                for s in p.solids
-            ]
+            for into, part in zip(cells, _relabel_cells(p, pre.__add__)):
+                into += part
             for g in group.elements():
                 for lab, (img, sign) in p.action[g].items():
                     action[g][pre + lab] = (pre + img, sign)
-        x = GCellComplex(
-            group, tuple(vertices), tuple(edges), tuple(faces), tuple(solids), action
-        )
+        x = GCellComplex(group, *map(tuple, cells), action)
 
     dims = x._dims
     uf = UnionFind()
@@ -807,23 +770,16 @@ def glue(parts, identifications) -> GCellComplex:
                 queue.append((ia, ib))
 
     rep = uf.find
-
-    def rep_word(w: Word) -> Word:
-        return Word(
-            tuple((rep(lab), exp) for lab, exp in w.letters),
-            at=rep(w.at) if w.at is not None else None,
-        )
+    rep_vertices, rep_edges, rep_faces, rep_solids = _relabel_cells(x, rep)
 
     vertices, seen = [], set()
-    for v in x.vertices:
-        r = rep(v)
+    for r in rep_vertices:
         if r not in seen:
             seen.add(r)
             vertices.append(r)
     edges, emap = [], {}
-    for e in x.edges:
-        r = rep(e.label)
-        cand = Edge(r, rep(e.source), rep(e.target))
+    for cand in rep_edges:
+        r = cand.label
         if r in emap:
             if emap[r] != cand[1:]:
                 raise IncompatibleIdentification(
@@ -833,9 +789,7 @@ def glue(parts, identifications) -> GCellComplex:
             emap[r] = cand[1:]
             edges.append(cand)
     faces, fmap = [], {}
-    for f in x.faces:
-        r = rep(f.label)
-        w = rep_word(f.word)
+    for r, w in rep_faces:
         if r in fmap:
             if not rotation_equal(fmap[r].letters, w.letters):
                 raise IncompatibleIdentification(
@@ -845,9 +799,8 @@ def glue(parts, identifications) -> GCellComplex:
             fmap[r] = w
             faces.append(Face(r, w))
     solids, smap = [], {}
-    for s in x.solids:
-        r = rep(s.label)
-        chain = _chain_normal((c, rep(lab)) for c, lab in s.chain)
+    for r, chain in rep_solids:
+        chain = _chain_normal(chain)
         if r in smap:
             if smap[r] != chain:
                 raise IncompatibleIdentification(

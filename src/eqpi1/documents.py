@@ -160,10 +160,6 @@ class _Parser:
     def expect_int(self, what="an integer"):
         return int(self.expect("INT", what).value)
 
-    def at_word(self, *values):
-        t = self.peek()
-        return t is not None and t.kind == "WORD" and t.value in values
-
     def take_word(self, value):
         t = self.next()
         if t.kind != "WORD" or t.value != value:

@@ -26,6 +26,7 @@ from .groupoids import (
     compose_morphisms,
     empty_morphism,
     equivalence_report,
+    expand_letters,
     free_reduce_letters,
     identity_morphism,
     invert_letters,
@@ -156,14 +157,10 @@ def _same_as_composite(
              "maps": (direct.object_map, object_map)},
             LEVEL_SYNTACTIC,
         )
-    images = second.generator_map
     verdicts = []
     for g in direct.source.generators:
         w = first.generator_map[g.label]
-        out = []
-        for lab, e in w.letters:
-            img = images[lab].letters
-            out.extend(img if e == 1 else invert_letters(img))
+        out = expand_letters(w.letters, second.generator_map)
         d = direct.generator_map[g.label]
         # equal reduced letters verify at the syntactic level, the level
         # combine() reports when nothing weaker is appended
@@ -228,11 +225,9 @@ def _induced_functor(x: GCellComplex, cat: OrbitCategory) -> OrbFunctor:
     """induced_functor_from_complex on an orbit category already built for
     the complex's group."""
     values = {}
-    complexes = {}
     for hid in cat.objects:
         sub = cat.subgroups[hid]
         fixed = fixed_subcomplex(x, sub)
-        complexes[hid] = fixed
         values[hid] = fundamental_groupoid(fixed)
     arrows = {}
     for m in cat.morphisms():
@@ -296,7 +291,7 @@ def induced_transformation(
                 raise NotEquivariant(f"vertex {v!r} breaks equivariance at element {g}")
         for e in x.edges:
             img, sign = x.action[g][e.label]
-            moved = _translate_cellular(y, g, f.edge_map[e.label])
+            moved = y.translate_word(g, f.edge_map[e.label])
             expected = f.edge_map[img] if sign == 1 else Word(
                 invert_letters(f.edge_map[img].letters), at=None
             )
@@ -314,14 +309,6 @@ def induced_transformation(
         generator_map = {e.label: f.edge_map[e.label] for e in sv.generators}
         components[hid] = GroupoidMorphism(sv, tv, object_map, generator_map)
     return NaturalTransformation(src_f, tgt_f, components)
-
-
-def _translate_cellular(y: GCellComplex, g, w: Word) -> Word:
-    out = []
-    for lab, exp in w.letters:
-        img, sign = y.action[g][lab]
-        out.append((img, exp * sign))
-    return Word(tuple(out))
 
 
 def equivalence_of_functors(eta: NaturalTransformation) -> Verdict:

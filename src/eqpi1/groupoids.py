@@ -141,12 +141,7 @@ class GroupPresentation:
 
     def relator_matrix(self) -> IntMatrix:
         idx = {g: i for i, g in enumerate(self.generators)}
-        cols = []
-        for r in self.relators:
-            v = [0] * len(self.generators)
-            for lab, e in r:
-                v[idx[lab]] += e
-            cols.append(v)
+        cols = [_exponents(r, idx) for r in self.relators]
         return IntMatrix.from_columns(cols, nrows=len(self.generators))
 
     def abelianization(self) -> AbelianGroup:
@@ -154,11 +149,25 @@ class GroupPresentation:
 
 
 def exponent_vector(letters, generators) -> list:
-    idx = {g: i for i, g in enumerate(generators)}
-    v = [0] * len(generators)
+    return _exponents(letters, {g: i for i, g in enumerate(generators)})
+
+
+def _exponents(letters, idx) -> list:
+    """Exponent sums of letters over generators indexed by idx."""
+    v = [0] * len(idx)
     for lab, e in letters:
         v[idx[lab]] += e
     return v
+
+
+def expand_letters(letters, images) -> tuple:
+    """Replace each letter by the letters of its image word (images maps a
+    label to a Word), inverted for exponent -1."""
+    out = []
+    for lab, e in letters:
+        img = images[lab].letters
+        out.extend(img if e == 1 else invert_letters(img))
+    return tuple(out)
 
 
 def substitute_letters(letters, subst) -> tuple:
@@ -330,8 +339,12 @@ class PresentedGroupoid:
         return {x: i for i, x in enumerate(self.objects)}
 
     @cached_property
-    def _relator_keys(self) -> frozenset:
-        return frozenset(canonical_cyclic(r.letters) for r in self.relators)
+    def _relator_index(self) -> dict:
+        """canonical_cyclic key -> index of the first relator with that key."""
+        index = {}
+        for j, r in enumerate(self.relators):
+            index.setdefault(canonical_cyclic(r.letters), j)
+        return index
 
     @property
     def is_empty(self) -> bool:
@@ -342,6 +355,17 @@ class PresentedGroupoid:
             return self._gen[label]
         except KeyError:
             raise ObjectNotFound(f"no generator {label!r}") from None
+
+    def match_relator(self, reduced):
+        """Which relator is a closed word, given by its cyclically reduced,
+        nonempty letters?  (j, 1) when relator j equals it up to rotation,
+        (j, -1) when only up to rotation and inversion, None when no relator
+        does; the first matching relator wins."""
+        j = self._relator_index.get(canonical_cyclic(reduced))
+        if j is None:
+            return None
+        rel = cyclic_reduce_letters(self.relators[j].letters)
+        return j, 1 if rotation_equal(rel, reduced) else -1
 
     def word_endpoints(self, w: Word):
         """(source, target) of a word; checks composability letter by letter."""
@@ -511,11 +535,9 @@ class GroupoidMorphism:
 
     def apply(self, w: Word) -> Word:
         src, _ = self.source.word_endpoints(w)
-        out = []
-        for lab, e in w.letters:
-            img = self.generator_map[lab]
-            out.extend(img.letters if e == 1 else invert_letters(img.letters))
-        return Word(tuple(out), at=self.object_map[src])
+        return Word(
+            expand_letters(w.letters, self.generator_map), at=self.object_map[src]
+        )
 
     def apply_reduced(self, w: Word) -> Word:
         return self.target.free_reduce(self.apply(w))
@@ -556,7 +578,7 @@ def _loop_vanishes(p: PresentedGroupoid, w: Word) -> Verdict:
     reduced = p.free_reduce(w)
     if reduced.is_empty:
         return Verdict.verified(LEVEL_SYNTACTIC)
-    if canonical_cyclic(reduced.letters) in p._relator_keys:
+    if canonical_cyclic(reduced.letters) in p._relator_index:
         return Verdict.verified(LEVEL_SYNTACTIC)
     data = p.isotropy_data(p.word_source(w))
     hat = data.rewrite_loop(reduced)
@@ -622,13 +644,8 @@ def abelianized_isotropy_map(t: GroupoidMorphism, x0: str):
     """Matrix of the induced map on free parts of the abelianized isotropy
     groups, in the deterministic bases of the simplified presentations.
     Returns (matrix, source invariants, target invariants)."""
-    cmpd = isotropy_image_map(t, x0)
-    sp, _ = simplify_presentation(cmpd.source_pres)
-    tp, tsub = simplify_presentation(cmpd.target_pres)
-    cols = []
-    for g in sp.generators:
-        img = substitute_letters(cmpd.images[g], tsub)
-        cols.append(exponent_vector(img, tp.generators))
+    sp, tp, images = _simplified_images(t, x0)
+    cols = [exponent_vector(images[g], tp.generators) for g in sp.generators]
     f = IntMatrix.from_columns(cols, nrows=len(tp.generators))
     m = induced_free_matrix(sp.relator_matrix(), tp.relator_matrix(), f)
     return m, sp.abelianization(), tp.abelianization()
@@ -681,10 +698,20 @@ def equivalence_report(t: GroupoidMorphism) -> Verdict:
     return combine(verdicts)
 
 
-def _component_iso_verdict(t: GroupoidMorphism, x0: str) -> Verdict:
+def _simplified_images(t: GroupoidMorphism, x0: str):
+    """The simplified isotropy presentations at x0 and at its image, and
+    each surviving source generator's image in the surviving target ones."""
     cmpd = isotropy_image_map(t, x0)
     sp, _ = simplify_presentation(cmpd.source_pres)
     tp, tsub = simplify_presentation(cmpd.target_pres)
+    images = {
+        g: substitute_letters(cmpd.images[g], tsub) for g in sp.generators
+    }
+    return sp, tp, images
+
+
+def _component_iso_verdict(t: GroupoidMorphism, x0: str) -> Verdict:
+    sp, tp, images = _simplified_images(t, x0)
     ab_s = sp.abelianization()
     ab_t = tp.abelianization()
     if ab_s != ab_t:
@@ -692,9 +719,6 @@ def _component_iso_verdict(t: GroupoidMorphism, x0: str) -> Verdict:
             {"at": x0, "abelianizations": (str(ab_s), str(ab_t))},
             LEVEL_ABELIANIZED,
         )
-    images = {
-        g: substitute_letters(cmpd.images[g], tsub) for g in sp.generators
-    }
     if not sp.relators and not tp.relators:
         # free against free: decidable only via a generator bijection
         letters = [images[g] for g in sp.generators]

@@ -34,15 +34,13 @@ from dataclasses import dataclass, field
 from .functors import NaturalTransformation, OrbFunctor, _induced_functor
 from .groupoids import (
     Word,
-    canonical_cyclic,
     cyclic_reduce_letters,
     equivalence_report,
     GroupoidMorphism,
     invert_letters,
-    rotation_equal,
     strict_isomorphism_report,
 )
-from .complexes import Edge, Face, GCellComplex, Solid, UnionFind
+from .complexes import Edge, Face, GCellComplex, Solid, UnionFind, _chain_normal
 from .verdicts import Verdict, combine
 
 
@@ -178,22 +176,6 @@ def _copy_word(hid: int, rep: int, w: Word, point=None) -> Word:
     return Word(letters, at=at)
 
 
-def _match_relator(target, image_letters):
-    """(kind, data): ('zero', None) when the image collapses, ('face', (j, sign))
-    when it lands on relator j up to rotation/inversion, ('none', reduced)."""
-    reduced = cyclic_reduce_letters(image_letters)
-    if not reduced:
-        return "zero", None
-    for j, rel in enumerate(target.relators):
-        rl = cyclic_reduce_letters(rel.letters)
-        if canonical_cyclic(rl) != canonical_cyclic(reduced):
-            continue
-        if rotation_equal(rl, reduced):
-            return "face", (j, 1)
-        return "face", (j, -1)
-    return "none", reduced
-
-
 def _build(f: OrbFunctor, max_dim: int, coend: CoendResult | None):
     """Stages 3 to 5 over the 0-skeleton coend, or, when coend is None,
     over one vertex per copy object joined to its images by vertical edges
@@ -240,13 +222,14 @@ def _build(f: OrbFunctor, max_dim: int, coend: CoendResult | None):
         arrow = f.arrows[m]
         hid, kid = m.source, m.target
         down = f.values[kid]
-        matches = {}
+        matches = {}  # relator k of down -> (j, sign), or None if it collapses
         for k, rel in enumerate(down.relators if max_dim >= 3 else ()):
-            kind, data = _match_relator(f.values[hid], arrow.apply(rel).letters)
-            if kind == "none":
+            reduced = cyclic_reduce_letters(arrow.apply(rel).letters)
+            match = f.values[hid].match_relator(reduced) if reduced else None
+            if reduced and match is None:
                 nonrigid.append((str(m), k))
             else:
-                matches[k] = data
+                matches[k] = match
         for r in cat.transversal[hid]:
             ir = cat.apply(m, r)
             if coend is None:
@@ -269,17 +252,15 @@ def _build(f: OrbFunctor, max_dim: int, coend: CoendResult | None):
                     )
                 word = ((_label(f"o{kid}", ir, gen.label), 1),) + word
                 faces.append(Face(emit(f"q{mi}", hid, r, gen.label), Word(word)))
-            for k, data in matches.items():
-                chain = {_label(f"o{kid}", ir, f"rel{k}"): 1}
-                if data is not None:
-                    j, sign = data
-                    lab = _label(f"o{hid}", r, f"rel{j}")
-                    chain[lab] = chain.get(lab, 0) - sign
+            for k, match in matches.items():
+                chain = [(1, _label(f"o{kid}", ir, f"rel{k}"))]
+                if match is not None:
+                    j, sign = match
+                    chain.append((-sign, _label(f"o{hid}", r, f"rel{j}")))
                 for lab, e in down.relators[k].letters:
-                    q = _label(f"q{mi}", r, lab)
-                    chain[q] = chain.get(q, 0) - e
-                boundary = sorted((c, lab) for lab, c in chain.items() if c != 0)
-                solids.append(Solid(emit(f"s{mi}", hid, r, f"r{k}"), tuple(boundary)))
+                    chain.append((-e, _label(f"q{mi}", r, lab)))
+                label = emit(f"s{mi}", hid, r, f"r{k}")
+                solids.append(Solid(label, _chain_normal(chain)))
 
     action = {}
     for g in group.elements():

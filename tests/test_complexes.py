@@ -26,6 +26,7 @@ from eqpi1.complexes import (
 )
 from eqpi1.groupoids import Gen, GroupoidMorphism, PresentedGroupoid, Word
 from eqpi1.groups import Subgroup, cyclic_group, trivial_group
+from eqpi1.verdicts import LEVEL_SYNTACTIC
 
 TORUS_RELATOR = (("a", 1), ("b", 1), ("a", -1), ("b", -1))
 
@@ -261,6 +262,16 @@ def test_boundary_matrices():
     assert len(boundary_matrices(x, max_dim=2)) == 2
 
 
+def test_boundary_matrices_are_built_once_per_complex():
+    x = presentation_complex(torus_groupoid())
+    first = boundary_matrices(x)
+    again = boundary_matrices(x, max_dim=2)
+    assert len(again) == 2
+    assert all(a is b for a, b in zip(first, again))
+    first.pop()  # the returned list is the caller's own
+    assert len(boundary_matrices(x)) == 3
+
+
 def test_presentation_complex_homologies():
     torus = presentation_complex(torus_groupoid())
     assert homology_strings(torus, max_dim=2) == ["Z", "Z^2", "Z"]
@@ -405,6 +416,81 @@ def test_cellular_map_validate():
     )
     v = wrong_face_word.validate()
     assert v.is_refuted and v.witness["check"] == "face image word"
+
+
+def interval_complex():
+    return GCellComplex(
+        trivial_group(),
+        ("p", "q"),
+        (Edge("e", "p", "q"),),
+        (),
+        (),
+        trivial_action(["p", "q", "e"]),
+    )
+
+
+def _torus_map(face_map):
+    x = presentation_complex(torus_groupoid())
+    ident = identity_cellular_map(x)
+    return CellularMap(x, x, {"u": "u"}, dict(ident.edge_map), face_map)
+
+
+@pytest.mark.parametrize(
+    "make, witness",
+    [
+        (
+            lambda: CellularMap(circle_complex(), interval_complex(), {"v": "p"}, {}, {}),
+            {"check": "edge image missing", "edge": "a"},
+        ),
+        (
+            lambda: CellularMap(
+                circle_complex(), interval_complex(), {"v": "p"},
+                {"a": Word.gen("e")}, {},
+            ),
+            {"check": "edge image endpoints", "edge": "a",
+             "got": ("p", "q"), "want": ("p", "p")},
+        ),
+        (
+            lambda: CellularMap(
+                circle_complex(), interval_complex(), {"v": "p"},
+                {"a": Word.empty("q")}, {},
+            ),
+            {"check": "edge image endpoints", "edge": "a",
+             "got": ("q", "q"), "want": ("p", "p")},
+        ),
+        (
+            lambda: CellularMap(
+                circle_complex(), interval_complex(), {"v": "p"},
+                {"a": Word((("e", 1), ("e", 1)))}, {},
+            ),
+            {"check": "edge image composable", "edge": "a"},
+        ),
+        (
+            lambda: CellularMap(
+                circle_complex(), interval_complex(), {"v": "p"},
+                {"a": Word(())}, {},
+            ),
+            {"check": "edge image composable", "edge": "a"},
+        ),
+        (
+            lambda: _torus_map({"rel0": ("missing", 1)}),
+            {"check": "face image", "face": "rel0"},
+        ),
+        (
+            lambda: _torus_map({"rel0": ("rel0", 2)}),
+            {"check": "face image", "face": "rel0"},
+        ),
+    ],
+    ids=[
+        "edge-missing", "edge-endpoints", "edge-endpoints-empty",
+        "edge-not-composable", "edge-empty-unanchored", "face-unknown",
+        "face-sign",
+    ],
+)
+def test_cellular_map_validate_witnesses(make, witness):
+    v = make().validate()
+    assert v.is_refuted and v.level == LEVEL_SYNTACTIC
+    assert v.witness == witness
 
 
 def test_realize_morphism_flip():

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from naive_relator_match import naive_match_relator
 from naive_tietze import naive_simplify_presentation
 
 from eqpi1 import groupoids
@@ -215,6 +216,70 @@ def assert_matches_naive(pres):
 )
 def test_simplify_matches_naive_oracle(pres):
     assert_matches_naive(pres)
+
+
+def one_object_groupoid(pres):
+    """pres as a groupoid on one object u, every generator a loop at u."""
+    return PresentedGroupoid(
+        ("u",),
+        tuple(Gen(g, "u", "u") for g in pres.generators),
+        tuple(Word(r, at="u") for r in pres.relators),
+    )
+
+
+@st.composite
+def relator_match_cases(draw):
+    """A one-object groupoid and closed words that collapse, equal a
+    relator up to rotation, equal a relator's inverse up to rotation, or
+    are arbitrary (and mostly match nothing)."""
+    pres = draw(presentations())
+    gens = pres.generators or ("a",)
+    word = st.lists(
+        st.tuples(st.sampled_from(gens), st.sampled_from((1, -1))),
+        max_size=6 if pres.generators else 0,
+    ).map(tuple)
+    live = [r for r in pres.relators if r]
+    words = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(("collapse", "relator", "inverse", "any")))
+        w = draw(word)
+        if kind == "collapse":
+            w = w + invert_letters(w)
+        elif kind in ("relator", "inverse") and live:
+            w = draw(st.sampled_from(live))
+            if kind == "inverse":
+                w = invert_letters(w)
+        if w:
+            k = draw(st.integers(0, len(w) - 1))
+            w = w[k:] + w[:k]
+        words.append(w)
+    return one_object_groupoid(pres), words
+
+
+def match_relator_as_before(p, letters):
+    """PresentedGroupoid.match_relator, answered in the oracle's terms."""
+    reduced = cyclic_reduce_letters(letters)
+    if not reduced:
+        return "zero", None
+    match = p.match_relator(reduced)
+    return ("none", reduced) if match is None else ("face", match)
+
+
+@given(relator_match_cases())
+@settings(max_examples=200, deadline=None)
+@example(  # only the inverse of relator 1 matches; relator 0 is empty
+    (
+        one_object_groupoid(
+            GroupPresentation(("a", "b"), ((), (("a", 1), ("a", 1), ("b", 1))))
+        ),
+        [(("b", -1), ("a", -1), ("a", -1)), (("a", 1), ("b", 1), ("a", 1))],
+    )
+)
+def test_match_relator_matches_naive_oracle(case):
+    p, words = case
+    assert set(p._relator_index) == {canonical_cyclic(r.letters) for r in p.relators}
+    for w in words:
+        assert match_relator_as_before(p, w) == naive_match_relator(p, w)
 
 
 @pytest.mark.parametrize(
