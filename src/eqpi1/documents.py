@@ -123,6 +123,10 @@ class InputDocument:
     order: tuple  # declaration order: ("groupoid"|"functor"|"complex", name)
 
 
+# The most letters one word may expand to.  "a^N" is checked against it
+# before it is expanded, so a huge exponent is refused, not allocated.
+MAX_WORD_LETTERS = 100_000
+
 _TOP = ("group", "family", "groupoid", "functor", "complex")
 _GROUPOID_KW = ("objects", "gen", "rel")
 _COMPLEX_KW = ("vertices", "edge", "face", "solid", "action")
@@ -189,6 +193,11 @@ class _Parser:
             if nxt is not None and nxt.kind == "CARET":
                 self.next()
                 exp = self.expect_int("an exponent after '^'")
+            if len(letters) + abs(exp) > MAX_WORD_LETTERS:
+                raise SchemaViolation(
+                    f"line {lab.line}, column {lab.col}: word longer than "
+                    f"{MAX_WORD_LETTERS} letters"
+                )
             if exp >= 0:
                 letters.extend((lab.value, 1) for _ in range(exp))
             else:

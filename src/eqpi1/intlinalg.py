@@ -3,9 +3,10 @@
 Everything here runs on arbitrary-precision Python ints: Smith normal form
 with unimodular transformation certificates, integer kernels and exact
 solving, finitely generated abelian group invariants, sparse boundary
-matrices, and chain-complex homology by unit-pivot reduction, with
-generators lifted back to the original cells on request.  No floating
-point anywhere.
+matrices, and chain-complex homology by unit-pivot reduction followed by
+one certified Smith form per connected block of each residual boundary,
+with generators lifted back to the original cells on request.  No
+floating point anywhere.
 """
 
 from __future__ import annotations
@@ -64,18 +65,8 @@ class IntMatrix:
                 m.data[i][j] = c[i]
         return m
 
-    def copy(self) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, self.data)
-
     def column(self, j: int) -> list:
         return [self.data[i][j] for i in range(self.rows)]
-
-    def transpose(self) -> "IntMatrix":
-        t = IntMatrix(self.cols, self.rows)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                t.data[j][i] = self.data[i][j]
-        return t
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -94,11 +85,6 @@ class IntMatrix:
     def __mul__(self, other):
         return self.mul(other)
 
-    def mul_vector(self, vec) -> list:
-        if self.cols != len(vec):
-            raise ValueError("dimension mismatch in matrix-vector product")
-        return [sum(a * x for a, x in zip(row, vec)) for row in self.data]
-
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows:
             raise ValueError("row mismatch in hstack")
@@ -110,35 +96,6 @@ class IntMatrix:
 
     def is_zero(self) -> bool:
         return all(a == 0 for row in self.data for a in row)
-
-    def det(self) -> int:
-        """Fraction-free Bareiss elimination; exact for any size."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        m = [row[:] for row in self.data]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k] != 0:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
-
-    def is_unimodular(self) -> bool:
-        return self.rows == self.cols and self.det() in (1, -1)
 
     def __eq__(self, other):
         return (
@@ -519,10 +476,12 @@ def homology(boundaries: list) -> list:
 
     After checking d.d = 0, pairs of cells (a, b) with <d b, a> = +-1 are
     removed by sparse elimination, which preserves integral homology.  Each
-    nonzero residual boundary then gets one certified Smith form, whose
-    rank and diagonal give the invariants.  Generators are found on the
-    residual complex and lifted through the removed pairs only when asked
-    for.
+    residual boundary is then split into the connected components of its
+    row-column graph (Dumas, Saunders and Villard, JSC 2001), and each
+    component gets its own certified Smith form; the ranks add up, and the
+    non-unit factors are merged into one divisibility chain.  The residual
+    is never densified whole.  Generators are found per component and
+    lifted through the removed pairs only when asked for.
     """
     mats = [m if isinstance(m, SparseMatrix) else SparseMatrix.from_dense(m)
             for m in boundaries]
@@ -569,10 +528,12 @@ class _ChainReduction:
             [j for j in range(d) if j not in gone]
             for d, gone in zip(self.dims, self.removed)
         ]
-        # residual boundaries, dense, and their Smith forms; None when zero
-        self.d = [self._residual_matrix(i) for i in range(n)]
-        self.smith = [None if a is None else smith_normal_form(a) for a in self.d]
-        del self.cols, self.row_users  # elimination state, not needed to lift
+        # per residual boundary: its connected blocks, and the non-unit
+        # invariant factors of all of them merged into one chain
+        self.blocks = [self._blocks(i) for i in range(n)]
+        self.torsion = [self._torsion(i) for i in range(n)]
+        # elimination state; cols stays, as the residual boundaries
+        del self.row_users
 
     def _reduce(self, i: int):
         """Remove unit pivots of boundary i until none is left, taking in
@@ -621,55 +582,120 @@ class _ChainReduction:
             for r in self.cols[i - 1].pop(a):
                 self.row_users[i - 1][r].discard(a)
 
-    def _residual_matrix(self, i: int):
-        """Residual boundary i as a dense matrix, or None when it is zero."""
-        rows, cols = self.residual[i], self.residual[i + 1]
-        if not any(self.cols[i][b] for b in cols):
-            return None
-        where = {r: k for k, r in enumerate(rows)}
-        dense = IntMatrix(len(rows), len(cols))
-        for j, b in enumerate(cols):
-            for r, x in self.cols[i][b].items():
-                dense.data[where[r]][j] = x
-        return dense
+    def _blocks(self, i: int) -> list:
+        """The residual boundary i split into the connected components of
+        its row-column graph, each as (rows, certified Smith form of the
+        component); zero rows and columns belong to no block."""
+        cols, users = self.cols[i], self.row_users[i]
+        seen = set()
+        blocks = []
+        for b in self.residual[i + 1]:
+            if b in seen or not cols[b]:
+                continue
+            seen.add(b)
+            block_rows, block_cols, stack = set(), [b], [b]
+            while stack:
+                for r in cols[stack.pop()]:
+                    if r not in block_rows:
+                        block_rows.add(r)
+                        for c in users[r] - seen:
+                            seen.add(c)
+                            block_cols.append(c)
+                            stack.append(c)
+            rows = sorted(block_rows)
+            block_cols.sort()
+            where = {r: k for k, r in enumerate(rows)}
+            a = IntMatrix(len(rows), len(block_cols))
+            for j, c in enumerate(block_cols):
+                for r, x in cols[c].items():
+                    a.data[where[r]][j] = x
+            blocks.append((rows, smith_normal_form(a)))
+        return blocks
+
+    def _torsion(self, i: int):
+        """(factors, merge) for the residual boundary i.  factors lists
+        (d, rows, smith, j), one per invariant factor d = smith.diagonal[j]
+        > 1 of a block, sorted by d.  merge is None when those d already
+        form a divisibility chain, else the Smith form of their diagonal
+        matrix, whose factors > 1 are the torsion (Z/2 + Z/3 is Z/6)."""
+        factors = sorted(
+            (
+                (s.diagonal[j], rows, s, j)
+                for rows, s in self.blocks[i]
+                for j in range(s.rank)
+                if s.diagonal[j] > 1
+            ),
+            key=lambda f: f[0],
+        )
+        ds = [f[0] for f in factors]
+        if all(y % x == 0 for x, y in zip(ds, ds[1:])):
+            return factors, None
+        diag = IntMatrix(len(ds), len(ds))
+        for t, d in enumerate(ds):
+            diag.data[t][t] = d
+        return factors, smith_normal_form(diag)
 
     def group(self, k: int) -> AbelianGroup:
-        s_out = self.smith[k - 1] if k > 0 else None
-        s_in = self.smith[k] if k < self.n else None
-        rank = len(self.residual[k])
-        rank -= (s_out.rank if s_out else 0) + (s_in.rank if s_in else 0)
-        torsion = tuple(d for d in s_in.diagonal if d > 1) if s_in else ()
-        return AbelianGroup(rank, torsion)
+        rank = len(self.residual[k]) - sum(  # blocks of d_k and d_{k+1}
+            s.rank for blocks in self.blocks[max(k - 1, 0):k + 1]
+            for _, s in blocks
+        )
+        if k == self.n:
+            return AbelianGroup(rank)
+        factors, merge = self.torsion[k]
+        if merge is None:
+            return AbelianGroup(rank, tuple(f[0] for f in factors))
+        return AbelianGroup(rank, tuple(d for d in merge.diagonal if d > 1))
 
     def generators(self, k: int):
         """(free, torsion) chain representatives of H_k in original cells.
 
-        With U A V = D the Smith form of the residual d_{k+1}, the columns
-        of U^-1 are a basis of the residual C_k whose first rank members
-        span the boundaries up to the factors d_i; those with d_i > 1 are
-        the torsion generators (they are cycles, since d_i times them is).
-        The free generators are the cycles among combinations of the
-        remaining columns: a kernel basis of the residual d_k on them."""
-        m = len(self.residual[k])
-        s_in = self.smith[k] if k < self.n else None
-        basis = s_in.uinv if s_in else IntMatrix.identity(m)
-        r = s_in.rank if s_in else 0
-        torsion = [
-            (self._lift(k, basis.column(j)), s_in.diagonal[j])
-            for j in range(r) if s_in.diagonal[j] > 1
-        ]
-        rest = IntMatrix.from_columns(
-            [basis.column(j) for j in range(r, m)], nrows=m
-        )
-        d_k = self.d[k - 1] if k > 0 else None
-        if d_k is not None:
-            rest = rest.mul(kernel_basis(d_k.mul(rest)))
-        free = [self._lift(k, rest.column(j)) for j in range(rest.cols)]
-        return free, torsion
+        With U A V = D the Smith form of a block A of the residual d_{k+1},
+        the columns of U^-1 on the block's rows, together with unit vectors
+        on the rows in no block, are a basis of the residual C_k.  The
+        first rank columns of each U^-1 span the boundaries up to the
+        factors d_i; those with d_i > 1 are the torsion generators (they
+        are cycles, since d_i times them is), carried through the merge
+        Smith form when the factors are not a chain.  The free generators
+        are the cycles among combinations of the remaining basis vectors:
+        a kernel basis of the residual d_k on them."""
+        torsion, rest, in_block = [], [], set()
+        if k < self.n:
+            factors, merge = self.torsion[k]
+            chains = [_block_chain(rows, s, j) for _, rows, s, j in factors]
+            if merge is None:
+                torsion = [(z, f[0]) for z, f in zip(chains, factors)]
+            else:
+                torsion = [
+                    (_combine(chains, merge.uinv.column(j)), d)
+                    for j, d in enumerate(merge.diagonal) if d > 1
+                ]
+            for rows, s in self.blocks[k]:
+                in_block.update(rows)
+                rest += [
+                    _block_chain(rows, s, j) for j in range(s.rank, len(rows))
+                ]
+        rest += [{c: 1} for c in self.residual[k] if c not in in_block]
+        if k > 0 and self.blocks[k - 1] and rest:
+            # the residual d_k on rest, densified on the rows it reaches
+            images = [{} for _ in rest]
+            for img, z in zip(images, rest):
+                for c, x in z.items():
+                    for r, y in self.cols[k - 1][c].items():
+                        img[r] = img.get(r, 0) + x * y
+            rows = sorted({r for img in images for r in img})
+            dense = IntMatrix.from_columns(
+                [[img.get(r, 0) for r in rows] for img in images],
+                nrows=len(rows),
+            )
+            kernel = kernel_basis(dense)
+            rest = [_combine(rest, kernel.column(j)) for j in range(kernel.cols)]
+        free = [self._lift(k, z) for z in rest]
+        return free, [(self._lift(k, z), d) for z, d in torsion]
 
-    def _lift(self, k: int, coords: list) -> list:
-        """A residual k-chain as a chain on all k-cells."""
-        z = {c: x for c, x in zip(self.residual[k], coords) if x}
+    def _lift(self, k: int, z: dict) -> list:
+        """A residual k-chain {cell: coef} as a chain on all k-cells."""
+        z = dict(z)
         if k > 0:
             for _, b, u, row in reversed(self.pairs[k - 1]):
                 s = sum(z.get(c, 0) * x for c, x in row)
@@ -679,6 +705,21 @@ class _ChainReduction:
         for c, x in z.items():
             vec[c] = x
         return vec
+
+
+def _block_chain(rows: list, s: SmithForm, j: int) -> dict:
+    """Column j of a block's U^-1 as a chain {cell: coef} on its rows."""
+    return {r: x for r, x in zip(rows, s.uinv.column(j)) if x}
+
+
+def _combine(chains: list, coefs: list) -> dict:
+    """The chain sum of coef * chain."""
+    out = {}
+    for z, a in zip(chains, coefs):
+        if a:
+            for c, x in z.items():
+                out[c] = out.get(c, 0) + a * x
+    return {c: x for c, x in out.items() if x}
 
 
 def cohomology_ranks(homology_groups: list) -> list:

@@ -9,6 +9,8 @@ against it on small complexes.
 
 from dataclasses import dataclass
 
+from dense_matrix import mul_vector
+
 from eqpi1.intlinalg import (
     AbelianGroup,
     IntMatrix,
@@ -64,7 +66,7 @@ def dense_homology(boundaries: list) -> list:
         for j in range(k):
             d = s.diagonal[j] if j < len(s.diagonal) else 0
             coords = s.uinv.column(j)
-            chain = kernel.mul_vector(coords)
+            chain = mul_vector(kernel, coords)
             if d == 0 or j >= s.rank:
                 free.append(chain)
             elif d > 1:

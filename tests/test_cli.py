@@ -257,6 +257,20 @@ def test_unusable_input(capsys, tmp_path):
     assert "line 1, column 7" in err
 
 
+def test_oversized_word_exits_three(capsys, tmp_path):
+    doc = tmp_path / "huge.eqp"
+    doc.write_text(
+        "group table { row 0 }\n"
+        "groupoid g { objects u  gen a u u  rel a^30000000 }\n"
+    )
+    code, out, err = run(capsys, "validate", str(doc))
+    assert code == 3
+    assert out == ""
+    assert err.splitlines() == [
+        "error: line 2, column 40: word longer than 100000 letters"
+    ]
+
+
 def test_unreadable_input_exits_three(capsys, tmp_path, monkeypatch):
     code, out, err = run(capsys, "validate", str(tmp_path))
     assert code == 3

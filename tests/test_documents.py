@@ -4,6 +4,7 @@ import pytest
 
 from eqpi1.complexes import validate_complex
 from eqpi1.documents import (
+    MAX_WORD_LETTERS,
     DanglingReference,
     DocumentSyntaxError,
     InputDocument,
@@ -87,6 +88,22 @@ def test_family_errors():
         parse_document(S3_HEADER + "family { 0 4 5 }")
     with pytest.raises(SchemaViolation, match="more than one family"):
         parse_document(Z2_HEADER + "family all\nfamily trivial\n")
+
+
+def test_word_length_limit():
+    def groupoid(word):
+        return parse_document(f"groupoid g {{ objects u  gen a u u  rel {word} }}")
+
+    (rel,) = groupoid(f"a^{MAX_WORD_LETTERS}").groupoids["g"].relators
+    assert len(rel.letters) == MAX_WORD_LETTERS
+    for word in (
+        f"a^{MAX_WORD_LETTERS + 1}",
+        f"a^-{MAX_WORD_LETTERS + 1}",
+        f"a^{MAX_WORD_LETTERS} a",
+        "a^30000000",
+    ):
+        with pytest.raises(SchemaViolation, match="longer than 100000 letters"):
+            groupoid(word)
 
 
 def test_duplicate_names_rejected():

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_homology import dense_homology
+from dense_matrix import copy, det, is_unimodular, mul_vector, transpose
 
+from eqpi1 import intlinalg
 from eqpi1.intlinalg import (
     AbelianGroup,
     IntMatrix,
@@ -43,7 +45,7 @@ def minor_gcd(a, k):
             sub = IntMatrix.from_rows(
                 [[a.data[i][j] for j in ci] for i in ri]
             )
-            g = math.gcd(g, sub.det())
+            g = math.gcd(g, det(sub))
     return g
 
 
@@ -51,14 +53,14 @@ def test_matrix_basics():
     a = IntMatrix.from_rows([[1, 2], [3, 4]])
     assert a.rows == 2 and a.cols == 2
     assert a.column(1) == [2, 4]
-    assert a.transpose().data == [[1, 3], [2, 4]]
-    assert a.mul_vector([1, 1]) == [3, 7]
+    assert transpose(a).data == [[1, 3], [2, 4]]
+    assert mul_vector(a, [1, 1]) == [3, 7]
     assert a.mul(IntMatrix.identity(2)) == a
     assert (a * a).data == [[7, 10], [15, 22]]
     assert a.hstack(a).cols == 4
     assert not a.is_zero()
     assert IntMatrix(2, 3).is_zero()
-    b = a.copy()
+    b = copy(a)
     b.data[0][0] = 99
     assert a.data[0][0] == 1
     assert a != b
@@ -71,11 +73,11 @@ def test_matrix_shape_errors():
     with pytest.raises(ValueError):
         IntMatrix.from_rows([[1, 2]]).mul(IntMatrix.from_rows([[1, 2]]))
     with pytest.raises(ValueError):
-        IntMatrix.from_rows([[1, 2]]).mul_vector([1])
+        mul_vector(IntMatrix.from_rows([[1, 2]]), [1])
     with pytest.raises(ValueError):
         IntMatrix(2, 1).hstack(IntMatrix(3, 1))
     with pytest.raises(ValueError):
-        IntMatrix(2, 3).det()
+        det(IntMatrix(2, 3))
 
 
 def test_from_columns():
@@ -86,14 +88,14 @@ def test_from_columns():
 
 
 def test_det():
-    assert IntMatrix(0, 0).det() == 1
-    assert IntMatrix.identity(3).det() == 1
-    assert IntMatrix.from_rows([[2, 0], [0, 3]]).det() == 6
-    assert IntMatrix.from_rows([[0, 1], [1, 0]]).det() == -1
+    assert det(IntMatrix(0, 0)) == 1
+    assert det(IntMatrix.identity(3)) == 1
+    assert det(IntMatrix.from_rows([[2, 0], [0, 3]])) == 6
+    assert det(IntMatrix.from_rows([[0, 1], [1, 0]])) == -1
     a = IntMatrix.from_rows([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
-    assert a.det() == 624
-    assert not a.is_unimodular()
-    assert IntMatrix.from_rows([[1, 5], [0, -1]]).is_unimodular()
+    assert det(a) == 624
+    assert not is_unimodular(a)
+    assert is_unimodular(IntMatrix.from_rows([[1, 5], [0, -1]]))
 
 
 @given(matrices)
@@ -103,13 +105,13 @@ def test_det_alternating_in_rows(a):
         return
     swapped = [r[:] for r in a.data]
     swapped[0], swapped[1] = swapped[1], swapped[0]
-    assert IntMatrix.from_rows(swapped).det() == -a.det()
+    assert det(IntMatrix.from_rows(swapped)) == -det(a)
 
 
 def check_smith_certificates(a):
     s = smith_normal_form(a)
-    assert s.u.is_unimodular()
-    assert s.v.is_unimodular()
+    assert is_unimodular(s.u)
+    assert is_unimodular(s.v)
     assert s.u.mul(a).mul(s.v) == s.d
     assert s.u.mul(s.uinv) == IntMatrix.identity(a.rows)
     assert s.v.mul(s.vinv) == IntMatrix.identity(a.cols)
@@ -332,15 +334,18 @@ def unimodular(draw, n):
 
 
 @st.composite
-def chain_complexes(draw):
-    """Boundary matrices of a random chain complex: a direct sum of free
-    cells and blocks Z --e--> Z with e in 1, 2, 3, 6, in random bases.
-    Degrees may be empty."""
-    n = draw(st.integers(1, 3))
-    free = draw(st.lists(st.integers(0, 2), min_size=n + 1, max_size=n + 1))
+def chain_complexes(draw, length=st.integers(1, 3), factors=(1, 2, 3, 6),
+                    max_free=2):
+    """Boundary matrices of a random chain complex of the drawn length: a
+    direct sum of free cells and blocks Z --e--> Z with e in factors, in
+    random bases.  Degrees may be empty."""
+    n = draw(length)
+    free = draw(
+        st.lists(st.integers(0, max_free), min_size=n + 1, max_size=n + 1)
+    )
     blocks = draw(
         st.lists(
-            st.lists(st.sampled_from([1, 2, 3, 6]), max_size=2),
+            st.lists(st.sampled_from(factors), max_size=2),
             min_size=n, max_size=n,
         )
     )
@@ -357,9 +362,37 @@ def chain_complexes(draw):
     return mats
 
 
-@given(chain_complexes())
-@settings(max_examples=200, deadline=None)
-def test_homology_matches_dense_oracle(mats):
+@st.composite
+def block_sums(draw):
+    """Boundary matrices of a direct sum of small random chain complexes,
+    each in its own random basis, with the cells of every degree shuffled;
+    the residual then splits into several blocks.  Factors 2, 3, 4 and 6
+    in different summands give torsion that is no divisibility chain until
+    merged.  Summands may have zero boundaries, and degrees may be empty."""
+    n = draw(st.integers(1, 3))
+    parts = draw(st.lists(
+        chain_complexes(st.just(n), (1, 2, 3, 4, 6), max_free=1), max_size=4
+    ))
+    sizes = [[p[0].rows] + [m.cols for m in p] for p in parts]
+    dims = [sum(s[k] for s in sizes) for k in range(n + 1)]
+    perms = [draw(st.permutations(range(d))) for d in dims]
+    mats = [IntMatrix(dims[k], dims[k + 1]) for k in range(n)]
+    offset = [0] * (n + 1)
+    for p, s in zip(parts, sizes):
+        for k, m in enumerate(p):
+            for i, row in enumerate(m.data):
+                for j, x in enumerate(row):
+                    r = perms[k][offset[k] + i]
+                    mats[k].data[r][perms[k + 1][offset[k + 1] + j]] = x
+        offset = [o + d for o, d in zip(offset, s)]
+    return mats
+
+
+def check_homology(mats):
+    """homology(mats) has the dense oracle's groups, and its generators
+    keep their contract: they are cycles, each torsion generator has
+    exactly its order modulo boundaries, and the free generators stay
+    independent modulo boundaries."""
     got = homology(mats)
     assert [h.group for h in got] == [h.group for h in dense_homology(mats)]
     for k, h in enumerate(got):
@@ -368,7 +401,7 @@ def test_homology_matches_dense_oracle(mats):
         if k > 0:
             d_k = mats[k - 1]
             for z in h.free_generators + [z for z, _ in h.torsion_generators]:
-                assert d_k.mul_vector(z) == [0] * d_k.rows
+                assert mul_vector(d_k, z) == [0] * d_k.rows
         if k == len(mats):
             continue
         image = mats[k]
@@ -377,10 +410,72 @@ def test_homology_matches_dense_oracle(mats):
             assert not any(
                 in_column_span(image, [m * x for x in z]) for m in range(1, d)
             )
-        # free generators stay independent modulo boundaries
         both = image.hstack(
             IntMatrix.from_columns(h.free_generators, nrows=image.rows)
         )
         assert smith_normal_form(both).rank == (
             smith_normal_form(image).rank + h.group.rank
         )
+    return got
+
+
+@given(chain_complexes())
+@settings(max_examples=200, deadline=None)
+def test_homology_matches_dense_oracle(mats):
+    check_homology(mats)
+
+
+@given(block_sums())
+@settings(max_examples=100, deadline=None)
+def test_block_sum_homology_matches_dense_oracle(mats):
+    check_homology(mats)
+
+
+@pytest.mark.parametrize("factors, want", [
+    ((2, 3), "Z + Z/6"),
+    ((4, 6), "Z + Z/2 + Z/12"),
+    ((6, 4, 2), "Z + Z/2 + Z/2 + Z/12"),
+    ((3, 3), "Z + Z/3 + Z/3"),
+])
+def test_torsion_merges_across_blocks(factors, want):
+    # d_2 is diag(factors) between a zero row and a zero column: every
+    # factor is its own block, and the free cells lie in none
+    t = len(factors)
+    d2 = IntMatrix(t + 1, t + 1)
+    for i, e in enumerate(factors):
+        d2.data[i + 1][i] = e
+    for d1 in (IntMatrix(0, t + 1), IntMatrix(1, t + 1)):
+        hs = check_homology([d1, d2])
+        assert str(hs[1].group) == want
+        assert str(hs[2].group) == "Z"
+
+
+def test_zero_and_empty_boundaries():
+    for mats in (
+        [IntMatrix(0, 3)],
+        [IntMatrix(3, 0)],
+        [IntMatrix(0, 0), IntMatrix(0, 2)],
+        [IntMatrix(2, 3), IntMatrix(3, 0)],
+    ):
+        hs = check_homology(mats)
+        assert all(not h.group.torsion for h in hs)
+
+
+def test_residual_is_never_densified_whole(monkeypatch):
+    # 105 disjoint -3 entries spread over 215 rows: 105 blocks of 1x1
+    rows = [2 * j + 1 for j in range(105)]
+    d1 = SparseMatrix(215, 105, [((r, -3),) for r in rows])
+    shapes = []
+    original = intlinalg.smith_normal_form
+
+    def recording(a):
+        shapes.append((a.rows, a.cols))
+        return original(a)
+
+    monkeypatch.setattr(intlinalg, "smith_normal_form", recording)
+    hs = homology([d1])
+    assert [str(h) for h in hs] == ["Z^110" + " + Z/3" * 105, "0"]
+    assert shapes == [(1, 1)] * 105
+    chain, order = hs[0].torsion_generators[0]
+    assert order == 3
+    assert [(c, abs(x)) for c, x in enumerate(chain) if x] == [(rows[0], 1)]
