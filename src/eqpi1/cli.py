@@ -212,7 +212,7 @@ def cmd_homology(args) -> int:
 def cmd_fixed(args) -> int:
     doc = _load(args.file)
     name, x = _pick("complex", doc.complexes, args.complex)
-    subs = _category(doc).subgroups
+    subs = doc.group.subgroups
     if not 0 <= args.subgroup < len(subs):
         raise SchemaViolation(f"no subgroup with id {args.subgroup}")
     sub = subs[args.subgroup]

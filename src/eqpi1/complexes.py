@@ -637,7 +637,7 @@ def realize_morphism(t: GroupoidMorphism) -> CellularMap:
     )
 
 
-def mapping_cylinder(f: CellularMap, prefix: str = "top."):
+def mapping_cylinder(f: CellularMap):
     """The mapping cylinder of a cellular map between complexes without
     symmetry: the target, a relabeled copy of the source on top, vertical
     edges, one square per source edge, one solid per source face.
@@ -659,7 +659,7 @@ def mapping_cylinder(f: CellularMap, prefix: str = "top."):
     if bad.is_refuted:
         raise InvalidComplex(f"cellular map invalid: {bad.witness}")
 
-    top = prefix
+    top = "top."
     vert = "cyl."
     top_v, top_e, top_f, _ = _relabel_cells(f.source, top.__add__)
     vertices = list(f.target.vertices) + top_v

@@ -44,7 +44,7 @@ from .groups import (
 )
 from .groupoids import Gen, GroupoidMorphism, PresentedGroupoid, Word
 from .functors import MissingArrow, MissingValue, OrbFunctor, make_functor
-from .orbit import OrbitCategory
+from .orbit import OrbitCategory, OrbitMorphism
 
 
 class DocumentSyntaxError(ValueError):
@@ -264,8 +264,12 @@ def parse_document(text: str) -> InputDocument:
     declared = group is not None
     if group is None:
         group = trivial_group()
-    for name, spec in functor_specs:
-        functors[name] = _build_functor(name, spec, group, family, groupoids)
+    if functor_specs:
+        cat = OrbitCategory(
+            group, family if family is not None else family_all(group)
+        )
+        for name, spec in functor_specs:
+            functors[name] = _build_functor(name, spec, cat, groupoids)
     return InputDocument(
         group, declared, family, groupoids, functors, complexes, tuple(order)
     )
@@ -461,11 +465,8 @@ def _parse_functor_body(p: _Parser):
     return values, arrows
 
 
-def _build_functor(name, spec, group, family, groupoids) -> OrbFunctor:
+def _build_functor(name, spec, cat, groupoids) -> OrbFunctor:
     values_spec, arrow_spec = spec
-    if family is None:
-        family = family_all(group)
-    cat = OrbitCategory(group, family)
     values = {}
     for sid, gname in values_spec:
         if gname.value not in groupoids:
@@ -485,16 +486,12 @@ def _build_functor(name, spec, group, family, groupoids) -> OrbFunctor:
             raise SchemaViolation(
                 f"functor {name!r}: arrow {hid}->{kid} outside the family"
             )
-        if not 0 <= rep < group.order:
+        if not 0 <= rep < cat.group.order:
             raise SchemaViolation(
                 f"functor {name!r}: representative {rep} is not a group element"
             )
-        found = None
-        for m in cat.hom(hid, kid):
-            if rep in m.coset:
-                found = m
-                break
-        if found is None:
+        found = OrbitMorphism(hid, kid, cat.coset_rep[kid][rep])
+        if found not in cat.hom(hid, kid):
             raise SchemaViolation(
                 f"functor {name!r}: no orbit morphism {hid}->{kid} "
                 f"with representative {rep}"

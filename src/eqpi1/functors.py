@@ -198,7 +198,8 @@ def validate_functoriality(f: OrbFunctor) -> Verdict:
             return Verdict.refuted(
                 {"check": "identity law", "id": hid, **(v.witness or {})}, v.level
             )
-        verdicts.append(v)
+        if v != _SYNTACTICALLY_EQUAL:
+            verdicts.append(v)
     for beta in cat.morphisms():
         t_beta = f.arrows[beta]
         for alpha in cat.into[beta.source]:
@@ -210,7 +211,8 @@ def validate_functoriality(f: OrbFunctor) -> Verdict:
                      **(v.witness or {})},
                     v.level,
                 )
-            verdicts.append(v)
+            if v != _SYNTACTICALLY_EQUAL:
+                verdicts.append(v)
     return combine(verdicts)
 
 
@@ -272,7 +274,8 @@ class NaturalTransformation:
                     {"check": "naturality square", "at": str(m), **(v.witness or {})},
                     v.level,
                 )
-            verdicts.append(v)
+            if v != _SYNTACTICALLY_EQUAL:
+                verdicts.append(v)
         return combine(verdicts)
 
 

@@ -651,22 +651,20 @@ def abelianized_isotropy_map(t: GroupoidMorphism, x0: str):
     return m, sp.abelianization(), tp.abelianization()
 
 
-def _component_map(t: GroupoidMorphism):
-    """source component index -> target component index, or a Refuted verdict
-    when the map is not a bijection on components."""
+def _component_refutation(t: GroupoidMorphism):
+    """A Refuted verdict when t is not a bijection on components, else
+    None."""
     scomps = t.source.components()
     tcomps = t.target.components()
     t_index = {}
     for i, comp in enumerate(tcomps):
         for x in comp:
             t_index[x] = i
-    mapping = {}
     hit = {}
     for i, comp in enumerate(scomps):
         j = t_index[t.object_map[comp[0]]]
-        mapping[i] = j
         if j in hit:
-            return None, Verdict.refuted(
+            return Verdict.refuted(
                 {
                     "components_identified": (
                         scomps[hit[j]][0],
@@ -677,10 +675,10 @@ def _component_map(t: GroupoidMorphism):
             )
         hit[j] = i
     if len(scomps) != len(tcomps):
-        return None, Verdict.refuted(
+        return Verdict.refuted(
             {"component_counts": (len(scomps), len(tcomps))}, LEVEL_SYNTACTIC
         )
-    return mapping, None
+    return None
 
 
 def equivalence_report(t: GroupoidMorphism) -> Verdict:
@@ -689,7 +687,7 @@ def equivalence_report(t: GroupoidMorphism) -> Verdict:
     Verified/Refuted answer (abelianization mismatch always refutes; free
     presentations need a strict generator bijection; certified-abelian
     presentations are decided by surjectivity plus finite-generation)."""
-    mapping, bad = _component_map(t)
+    bad = _component_refutation(t)
     if bad is not None:
         return bad
     verdicts = []

@@ -3,23 +3,19 @@
 Objects are the cosets spaces G/H for H in the family; a morphism
 G/H -> G/K is the G-map xH -> xgK determined by a coset gK with
 g^-1 H g contained in K.  Composing xH -> xaK with xK -> xbL gives
-xH -> x(ab)L.  Everything is enumerated eagerly, once, and ordered
+xH -> x(ab)L.  A coset is named only by its least element, read from one
+table per object, so a morphism is the triple (source id, target id,
+representative) and composition and identities are computed from that
+table.  Everything is enumerated eagerly, once, and ordered
 deterministically: objects by subgroup id, morphisms by
-(source id, target id, coset representative).  Composition and identities
-are lookups in an index keyed by (source, target, coset representative).
+(source id, target id, coset representative).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .groups import (
-    FiniteGroup,
-    Subgroup,
-    SubgroupFamily,
-    enumerate_subgroups,
-    left_cosets,
-)
+from .groups import FiniteGroup, Subgroup, SubgroupFamily, enumerate_subgroups
 
 
 class ObjectNotInFamily(ValueError):
@@ -32,18 +28,13 @@ class NotComposable(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class OrbitMorphism:
-    """G/source -> G/target, encoded by the coset (of the target subgroup)
-    that the identity coset maps to."""
+class OrbitMorphism(NamedTuple):
+    """G/source -> G/target, named by the least element of the coset (of the
+    target subgroup) that the identity coset maps to."""
 
     source: int
     target: int
-    coset: tuple
-
-    @property
-    def representative(self) -> int:
-        return self.coset[0]
+    representative: int
 
     def __str__(self):
         return f"H{self.source}->H{self.target}:g{self.representative}"
@@ -79,43 +70,32 @@ class OrbitCategory:
         return h
 
     def _build(self):
-        g = self.group
-        cosets = {kid: left_cosets(g, self.subgroup(kid)) for kid in self.objects}
-        for kid, cs in cosets.items():
-            table = [0] * g.order
-            for coset in cs:
-                for x in coset.elements:
-                    table[x] = coset.representative
-            self.coset_rep[kid] = tuple(table)
-            self.transversal[kid] = tuple(c.representative for c in cs)
+        table = self.group.table
+        for kid in self.objects:
+            k = self.subgroup(kid).elements
+            reps = tuple(min(row[y] for y in k) for row in table)
+            self.coset_rep[kid] = reps
+            self.transversal[kid] = tuple(sorted(set(reps)))
         for hid in self.objects:
-            h = self.subgroup(hid)
+            h = self.subgroup(hid).elements
             for kid in self.objects:
-                kset = set(self.subgroup(kid).elements)
-                ms = []
-                for coset in cosets[kid]:
-                    rep = coset.representative
-                    if all(g.conj(rep, x) in kset for x in h.elements):
-                        ms.append(OrbitMorphism(hid, kid, coset.elements))
-                ms.sort(key=lambda m: m.representative)
-                self._homs[(hid, kid)] = tuple(ms)
+                # rK is a morphism target exactly when H fixes it: x*r in rK
+                # for every x in H, i.e. r^-1 H r lies in K
+                reps = self.coset_rep[kid]
+                self._homs[(hid, kid)] = tuple(
+                    OrbitMorphism(hid, kid, r)
+                    for r in self.transversal[kid]
+                    if all(reps[table[x][r]] == r for x in h)
+                )
         self._morphisms = tuple(
             m for hid in self.objects for kid in self.objects
             for m in self._homs[(hid, kid)]
         )
-        # the index: (source, target, coset representative) -> morphism, and
-        # into[kid], the morphisms with target kid in morphisms() order
-        self._by_rep = {
-            (m.source, m.target, m.representative): m for m in self._morphisms
-        }
+        # into[kid]: the morphisms with target kid, in morphisms() order
         into = {kid: [] for kid in self.objects}
         for m in self._morphisms:
             into[m.target].append(m)
         self.into = {kid: tuple(ms) for kid, ms in into.items()}
-        self._identity = {
-            hid: self._by_rep[(hid, hid, self.coset_rep[hid][g.identity])]
-            for hid in self.objects
-        }
 
     def hom(self, h, k) -> tuple:
         hid, kid = self._as_id(h), self._as_id(k)
@@ -126,21 +106,26 @@ class OrbitCategory:
         return self._homs[(hid, kid)]
 
     def identity(self, h) -> OrbitMorphism:
-        return self._identity[self._as_id(h)]
+        hid = self._as_id(h)
+        return OrbitMorphism(hid, hid, self.coset_rep[hid][self.group.identity])
 
     def is_identity(self, m: OrbitMorphism) -> bool:
-        return m.source == m.target and m == self.identity(m.source)
+        return (
+            m.source == m.target
+            and m.representative == self.coset_rep[m.source][self.group.identity]
+        )
 
     def compose(self, beta: OrbitMorphism, alpha: OrbitMorphism) -> OrbitMorphism:
         """beta after alpha: target(alpha) must equal source(beta).  The
-        composite's coset is (a*b)L, looked up in the index."""
+        composite's coset is (a*b)L, named by its least element."""
         if alpha.target != beta.source:
             raise NotComposable(
                 f"cannot compose {beta} after {alpha}: object mismatch"
             )
         prod = self.group.mul(alpha.representative, beta.representative)
-        rep = self.coset_rep[beta.target][prod]
-        return self._by_rep[(alpha.source, beta.target, rep)]
+        return OrbitMorphism(
+            alpha.source, beta.target, self.coset_rep[beta.target][prod]
+        )
 
     def morphisms(self) -> tuple:
         """All morphisms in deterministic order."""

@@ -192,6 +192,36 @@ def test_functor_representative_must_give_a_morphism():
         parse_document(text)
 
 
+def test_arrow_representative_may_be_any_coset_element():
+    # over Z/2, 1 lies in the coset 0*Z/2 = {0, 1}, whose least element is 0
+    text = (
+        Z2_HEADER
+        + "groupoid pt { objects u }\n"
+        + "functor f { value 0 pt  value 1 pt"
+        + "  arrow 0 0 1 { obj u u }  arrow 0 1 1 { obj u u } }"
+    )
+    f = parse_document(text).functors["f"]
+    (down,) = f.category.hom(0, 1)
+    assert str(down) == "H0->H1:g0"
+    assert f.arrows[down].object_map == {"u": "u"}
+    assert "arrow 0 1 0 {" in render_document(parse_document(text))
+
+
+def test_functors_of_one_document_share_a_category():
+    body = (
+        "{ value 0 pt  value 1 pt"
+        "  arrow 0 0 1 { obj u u }  arrow 0 1 0 { obj u u } }\n"
+    )
+    text = (
+        Z2_HEADER
+        + "groupoid pt { objects u }\n"
+        + "functor f " + body
+        + "functor h " + body
+    )
+    doc = parse_document(text)
+    assert doc.functors["f"].category is doc.functors["h"].category
+
+
 def test_complex_dangling_references():
     with pytest.raises(DanglingReference, match="is not a vertex"):
         parse_document("complex x { vertices v  edge a v w }")

@@ -7,6 +7,7 @@ from eqpi1.complexes import (
     identity_cellular_map,
     trivial_action,
 )
+from eqpi1.documents import parse_document
 from eqpi1.functors import (
     MissingArrow,
     MissingValue,
@@ -343,3 +344,36 @@ def test_composite_check_matches_built_composite():
                 assert _same_as_composite(
                     direct, arrows[beta], arrows[alpha]
                 ) == _same_morphism(direct, built)
+
+
+@pytest.mark.parametrize(
+    "relators, expected",
+    [
+        # x^2 = 1 follows from x^6 and x^4 only in the abelian group Z/2
+        ("rel x^6  rel x^4", "verified[abelianized]"),
+        # x^2 is a commutator here, and the group is not certified abelian
+        ("gen y u u  rel x^2 y x y^-1 x^-1",
+         "undecided[undecided] reason=word problem: loop not decided at "
+         "abelianized level"),
+    ],
+)
+def test_weaker_verdicts_survive_the_law_checks(relators, expected):
+    # the law checks keep only verdicts weaker than verified[syntactic]; a
+    # square that commutes only modulo the relators must still show its level
+    ys = "  gen y y" if "y" in relators else ""
+    doc = parse_document(
+        "group table { row 0 1  row 1 0 }\n"
+        f"groupoid g {{ objects u  gen x u u  {relators} }}\n"
+        "functor f { value 0 g  value 1 g\n"
+        f"  arrow 0 0 1 {{ obj u u  gen x x^-1{ys} }}\n"
+        f"  arrow 0 1 0 {{ obj u u  gen x x{ys} }} }}"
+    )
+    f = doc.functors["f"]
+    assert str(validate_functoriality(f)) == expected
+    g = f.values[0]
+    images = {"x": Word((("x", 1),) * 3)}
+    if ys:
+        images["y"] = Word.gen("y")
+    cube = GroupoidMorphism(g, g, {"u": "u"}, images)
+    eta = NaturalTransformation(f, f, {0: cube, 1: identity_morphism(g)})
+    assert str(eta.naturality()) == expected
