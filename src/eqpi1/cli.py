@@ -38,10 +38,8 @@ from .documents import (
 )
 from .dot import complex_dot, groupoid_dot, orbit_dot
 from .functors import induced_functor_from_complex, validate_functoriality
-from .groups import family_all
 from .groupoids import abelianized_isotropy_map, simplify_presentation
 from .intlinalg import cohomology_ranks
-from .orbit import OrbitCategory
 from .realize import (
     build_space,
     verify_fundamental_functor,
@@ -52,11 +50,6 @@ from .verdicts import Verdict
 
 def _load(path):
     return parse_path(path)
-
-
-def _category(doc) -> OrbitCategory:
-    family = doc.family if doc.family is not None else family_all(doc.group)
-    return OrbitCategory(doc.group, family)
 
 
 def _pick(kind: str, table: dict, name):
@@ -122,7 +115,7 @@ def cmd_validate(args) -> int:
 
 def cmd_orbit_cat(args) -> int:
     doc = _load(args.file)
-    cat = _category(doc)
+    cat = doc.category
     report = Report("orbit category")
     for hid in cat.objects:
         sub = cat.subgroups[hid]
@@ -267,8 +260,7 @@ def cmd_induced_functor(args) -> int:
         report = Report(f"induced functor of {name}", bad)
         _emit(report, args.format)
         return report.exit_code(args.strict)
-    family = doc.family if doc.family is not None else family_all(x.group)
-    functor = induced_functor_from_complex(x, family)
+    functor = induced_functor_from_complex(x, doc.family)
     report = Report(f"induced functor of {name}")
     report.add(Report("functor laws", validate_functoriality(functor)))
     vals = report.add(Report("values"))

@@ -33,8 +33,9 @@ from .groupoids import (
     expand_letters,
     invert_letters,
     rotation_equal,
+    walk_word,
 )
-from .intlinalg import SparseMatrix, homology
+from .intlinalg import NotAChainComplex, SparseMatrix, unchecked_homology
 from .verdicts import LEVEL_SYNTACTIC, Verdict, combine
 
 
@@ -56,10 +57,7 @@ class RelationsRefuted(ValueError):
         self.witness = witness
 
 
-class Edge(NamedTuple):
-    label: str
-    source: str
-    target: str
+Edge = Gen  # an edge of a complex is a generator of its fundamental groupoid
 
 
 class Face(NamedTuple):
@@ -219,6 +217,16 @@ class GCellComplex:
             ),
         ]
 
+    @cached_property
+    def _chain_defect(self):
+        """The least degree i with d_i * d_{i+1} != 0, or None; checked once
+        per complex."""
+        d = self._boundaries
+        for i in (1, 2):
+            if not (d[i - 1] * d[i]).is_zero():
+                return i
+        return None
+
 
 def _chain_normal(chain) -> tuple:
     """Sum the terms (coef, label) per label, drop zeros, sort."""
@@ -262,26 +270,6 @@ def _relabel_cells(x: GCellComplex, name) -> tuple:
     )
 
 
-def _walk(endpoint, w: Word):
-    """Follow an edge path, endpoint mapping an edge label to its (source,
-    target).  Returns (start, end, None), the anchor twice for an empty
-    word, or (start, end so far, letter) at the first letter that is not an
-    edge or does not start where the path stands."""
-    if not w.letters:
-        return w.at, w.at, None
-    first = cur = None
-    for lab, exp in w.letters:
-        if lab not in endpoint:
-            return first, cur, (lab, exp)
-        s, t = endpoint[lab] if exp == 1 else endpoint[lab][::-1]
-        if cur is None:
-            first = s
-        elif cur != s:
-            return first, cur, (lab, exp)
-        cur = t
-    return first, cur, None
-
-
 def validate_complex(x: GCellComplex) -> Verdict:
     """Mathematical well-formedness: face words are closed paths, the action
     is a sign-respecting permutation action commuting with all boundaries,
@@ -289,9 +277,8 @@ def validate_complex(x: GCellComplex) -> Verdict:
     vanishes."""
     verdicts = []
 
-    endpoint = {e.label: (e.source, e.target) for e in x.edges}
     for f in x.faces:
-        first, last, broken = _walk(endpoint, f.word)
+        first, last, broken = walk_word(x.edge_by_label, f.word)
         if broken is not None:
             return Verdict.refuted(
                 {"check": "face word composable", "face": f.label, "letter": broken},
@@ -379,11 +366,9 @@ def validate_complex(x: GCellComplex) -> Verdict:
                 )
     verdicts.append(Verdict.verified(LEVEL_SYNTACTIC))
 
-    d1, d2, d3 = boundary_matrices(x)
-    if not (d1 * d2).is_zero():
-        return Verdict.refuted({"check": "d1*d2 = 0"}, LEVEL_SYNTACTIC)
-    if not (d2 * d3).is_zero():
-        return Verdict.refuted({"check": "d2*d3 = 0"}, LEVEL_SYNTACTIC)
+    bad = x._chain_defect
+    if bad is not None:
+        return Verdict.refuted({"check": f"d{bad}*d{bad + 1} = 0"}, LEVEL_SYNTACTIC)
     verdicts.append(Verdict.verified(LEVEL_SYNTACTIC))
 
     return combine(verdicts)
@@ -398,8 +383,12 @@ def boundary_matrices(x: GCellComplex, max_dim: int = 3):
 
 def homology_of_complex(x: GCellComplex, max_dim: int = 3):
     """Integral homology H_0..H_max_dim; generating chains are computed
-    when first read."""
-    return homology(boundary_matrices(x, max_dim=max_dim))
+    when first read.  Raises NotAChainComplex when d_i * d_{i+1} != 0 for
+    some i < max_dim."""
+    bad = x._chain_defect
+    if bad is not None and bad < max_dim:
+        raise NotAChainComplex(bad, "d.d != 0")
+    return unchecked_homology(boundary_matrices(x, max_dim=max_dim))
 
 
 def cell_names(x: GCellComplex, dim: int):
@@ -486,7 +475,7 @@ def fundamental_groupoid(x: GCellComplex) -> PresentedGroupoid:
     the group action play no part."""
     return PresentedGroupoid(
         x.vertices,
-        tuple(Gen(e.label, e.source, e.target) for e in x.edges),
+        x.edges,
         tuple(f.word for f in x.faces),
     )
 
@@ -502,8 +491,7 @@ def presentation_complex(p: PresentedGroupoid) -> GCellComplex:
             lab += "_"
         used.add(lab)
         faces.append(Face(lab, r))
-    edges = [Edge(g.label, g.source, g.target) for g in p.generators]
-    return _plain_complex(p.objects, edges, faces, ())
+    return _plain_complex(p.objects, p.generators, faces, ())
 
 
 @dataclass
@@ -530,7 +518,6 @@ class CellularMap:
                 return Verdict.refuted(
                     {"check": "vertex image", "vertex": v}, LEVEL_SYNTACTIC
                 )
-        endpoint = {e.label: (e.source, e.target) for e in self.target.edges}
         for e in self.source.edges:
             w = self.edge_map.get(e.label)
             if w is None:
@@ -538,7 +525,7 @@ class CellularMap:
                     {"check": "edge image missing", "edge": e.label},
                     LEVEL_SYNTACTIC,
                 )
-            first, last, broken = _walk(endpoint, w)
+            first, last, broken = walk_word(self.target.edge_by_label, w)
             if broken is not None or first is None:
                 return Verdict.refuted(
                     {"check": "edge image composable", "edge": e.label},

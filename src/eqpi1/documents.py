@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 from .complexes import Edge, Face, GCellComplex, Solid
 from .groups import (
@@ -121,6 +122,13 @@ class InputDocument:
     functors: dict
     complexes: dict
     order: tuple  # declaration order: ("groupoid"|"functor"|"complex", name)
+
+    @cached_property
+    def category(self) -> OrbitCategory:
+        """The orbit category of the group over the declared family, or
+        over all subgroups; built when first read."""
+        family = self.family if self.family is not None else family_all(self.group)
+        return OrbitCategory(self.group, family)
 
 
 # The most letters one word may expand to.  "a^N" is checked against it
@@ -264,15 +272,12 @@ def parse_document(text: str) -> InputDocument:
     declared = group is not None
     if group is None:
         group = trivial_group()
-    if functor_specs:
-        cat = OrbitCategory(
-            group, family if family is not None else family_all(group)
-        )
-        for name, spec in functor_specs:
-            functors[name] = _build_functor(name, spec, cat, groupoids)
-    return InputDocument(
+    doc = InputDocument(
         group, declared, family, groupoids, functors, complexes, tuple(order)
     )
+    for name, spec in functor_specs:
+        functors[name] = _build_functor(name, spec, doc.category, groupoids)
+    return doc
 
 
 def parse_path(path) -> InputDocument:
@@ -817,6 +822,14 @@ def _word_data(w: Word):
     return d
 
 
+def _groupoid_data(g: PresentedGroupoid) -> dict:
+    return {
+        "objects": list(g.objects),
+        "generators": [list(gen) for gen in g.generators],
+        "relators": [_word_data(r) for r in g.relators],
+    }
+
+
 def document_data(doc: InputDocument) -> dict:
     """JSON-ready mirror of a document."""
     data = {}
@@ -833,12 +846,7 @@ def document_data(doc: InputDocument) -> dict:
         }
     if doc.groupoids:
         data["groupoids"] = {
-            name: {
-                "objects": list(g.objects),
-                "generators": [[gen.label, gen.source, gen.target] for gen in g.generators],
-                "relators": [_word_data(r) for r in g.relators],
-            }
-            for name, g in doc.groupoids.items()
+            name: _groupoid_data(g) for name, g in doc.groupoids.items()
         }
     if doc.functors:
         data["functors"] = {}
@@ -860,14 +868,7 @@ def document_data(doc: InputDocument) -> dict:
                 )
             data["functors"][name] = {
                 "values": {
-                    str(hid): {
-                        "objects": list(f.values[hid].objects),
-                        "generators": [
-                            [g.label, g.source, g.target]
-                            for g in f.values[hid].generators
-                        ],
-                        "relators": [_word_data(r) for r in f.values[hid].relators],
-                    }
+                    str(hid): _groupoid_data(f.values[hid])
                     for hid in f.category.objects
                 },
                 "arrows": arrows,

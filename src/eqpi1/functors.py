@@ -23,6 +23,7 @@ from .groupoids import (
     GroupoidMorphism,
     PresentedGroupoid,
     Word,
+    check_composable,
     compose_morphisms,
     empty_morphism,
     equivalence_report,
@@ -116,25 +117,6 @@ def make_functor(category: OrbitCategory, values: dict, arrows: dict) -> OrbFunc
 _SYNTACTICALLY_EQUAL = Verdict.verified(LEVEL_SYNTACTIC)
 
 
-def _same_morphism(a: GroupoidMorphism, b: GroupoidMorphism) -> Verdict:
-    if a.object_map != b.object_map:
-        return Verdict.refuted(
-            {"detail": "object maps differ", "maps": (a.object_map, b.object_map)},
-            LEVEL_SYNTACTIC,
-        )
-    if a.generator_map == b.generator_map:  # equal words are equal arrows
-        return _SYNTACTICALLY_EQUAL
-    verdicts = []
-    for g in a.source.generators:
-        v = words_equal_verdict(
-            a.target, a.generator_map[g.label], b.generator_map[g.label]
-        )
-        if v.is_refuted:
-            return _images_differ(g.label, v)
-        verdicts.append(v)
-    return combine(verdicts)
-
-
 def _images_differ(label: str, v: Verdict) -> Verdict:
     return Verdict.refuted(
         {"detail": "generator images differ", "generator": label,
@@ -146,10 +128,10 @@ def _images_differ(label: str, v: Verdict) -> Verdict:
 def _same_as_composite(
     direct: GroupoidMorphism, first: GroupoidMorphism, second: GroupoidMorphism
 ) -> Verdict:
-    """_same_morphism(direct, compose_morphisms(second, first)) without
-    building the composite, which is valid by construction.  Generator
-    images are compared as reduced letters; a composite word is built only
-    for an image whose letters differ from direct's."""
+    """Is direct the same arrow as second after first?  The composite is
+    valid by construction and is not built: generator images are compared
+    as reduced letters, and a composite word is built only for an image
+    whose letters differ from direct's."""
     object_map = {x: second.object_map[y] for x, y in first.object_map.items()}
     if direct.object_map != object_map:
         return Verdict.refuted(
@@ -193,7 +175,7 @@ def validate_functoriality(f: OrbFunctor) -> Verdict:
     for hid in cat.objects:
         t = f.arrows[cat.identity(hid)]
         ident = identity_morphism(f.values[hid])
-        v = _same_morphism(t, ident)
+        v = _same_as_composite(t, ident, ident)
         if v.is_refuted:
             return Verdict.refuted(
                 {"check": "identity law", "id": hid, **(v.witness or {})}, v.level
@@ -267,8 +249,9 @@ class NaturalTransformation:
         for m in cat.morphisms():
             hid, kid = m.source, m.target
             left = compose_morphisms(self.components[hid], self.source.arrows[m])
-            right = compose_morphisms(self.target.arrows[m], self.components[kid])
-            v = _same_morphism(left, right)
+            c_k, g_m = self.components[kid], self.target.arrows[m]
+            check_composable(g_m, c_k)
+            v = _same_as_composite(left, c_k, g_m)
             if v.is_refuted:
                 return Verdict.refuted(
                     {"check": "naturality square", "at": str(m), **(v.witness or {})},

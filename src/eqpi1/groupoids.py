@@ -132,6 +132,29 @@ def rotation_equal(a, b) -> bool:
     return any(b[i:] + b[:i] == a for i in range(len(b)))
 
 
+def walk_word(gens, w: Word):
+    """Follow a word along arrows, gens mapping a label to its Gen.  Returns
+    (start, end, None), the anchor twice for an empty word, or (start, end
+    so far, letter) at the first letter that is not a generator, has an
+    exponent other than +-1, or does not start where the path stands."""
+    if not w.letters:
+        return w.at, w.at, None
+    first = cur = None
+    for lab, exp in w.letters:
+        g = gens.get(lab)
+        if g is None or exp not in (1, -1):
+            return first, cur, (lab, exp)
+        _, s, t = g
+        if exp == -1:
+            s, t = t, s
+        if cur is None:
+            first = s
+        elif cur != s:
+            return first, cur, (lab, exp)
+        cur = t
+    return first, cur, None
+
+
 @dataclass(frozen=True)
 class GroupPresentation:
     """A group given by generators and relator words (letters only)."""
@@ -369,25 +392,19 @@ class PresentedGroupoid:
 
     def word_endpoints(self, w: Word):
         """(source, target) of a word; checks composability letter by letter."""
-        if not w.letters:
-            if w.at is None or w.at not in self._obj_index:
-                raise ObjectNotFound(f"empty word has no valid anchor: {w}")
-            return w.at, w.at
-        cur = None
-        first = None
-        for lab, e in w.letters:
+        first, last, broken = walk_word(self._gen, w)
+        if broken is not None:
+            lab, e = broken
             g = self.gen(lab)
             if e not in (1, -1):
                 raise ValueError(f"letter exponent must be +-1: {lab}^{e}")
-            s, t = (g.source, g.target) if e == 1 else (g.target, g.source)
-            if cur is None:
-                first = s
-            elif cur != s:
-                raise NotComposable(
-                    f"word {w}: letter {lab}^{e} starts at {s}, expected {cur}"
-                )
-            cur = t
-        return first, cur
+            s = g.source if e == 1 else g.target
+            raise NotComposable(
+                f"word {w}: letter {lab}^{e} starts at {s}, expected {last}"
+            )
+        if not w.letters and w.at not in self._obj_index:
+            raise ObjectNotFound(f"empty word has no valid anchor: {w}")
+        return first, last
 
     def word_source(self, w: Word) -> str:
         return self.word_endpoints(w)[0]
@@ -402,68 +419,70 @@ class PresentedGroupoid:
 
     @cached_property
     def _components(self):
+        """The spanning forest: a breadth-first search from the
+        first-declared object of each component, edges scanned in
+        declaration order.  Returns the components (objects in declaration
+        order), object -> component index, object -> letters of its tree
+        path from the component's base, and component index -> tree
+        labels."""
         adj = {x: [] for x in self.objects}
         for g in self.generators:
-            adj[g.source].append(g.target)
-            adj[g.target].append(g.source)
+            adj[g.source].append((g.label, 1, g.target))
+            adj[g.target].append((g.label, -1, g.source))
         seen = {}
+        paths = {}
         comps = []
+        trees = []
         for x in self.objects:
             if x in seen:
                 continue
             comp = []
+            tree = set()
             queue = deque([x])
             seen[x] = len(comps)
+            paths[x] = ()
             while queue:
                 y = queue.popleft()
                 comp.append(y)
-                for z in adj[y]:
+                for lab, e, z in adj[y]:
                     if z not in seen:
                         seen[z] = len(comps)
+                        paths[z] = paths[y] + ((lab, e),)
+                        tree.add(lab)
                         queue.append(z)
             comp.sort(key=self._obj_index.__getitem__)
             comps.append(tuple(comp))
-        return tuple(comps), seen
+            trees.append(frozenset(tree))
+        return tuple(comps), seen, paths, trees
 
     def components(self) -> tuple:
         return self._components[0]
 
     def component_of(self, x: str) -> tuple:
-        comps, seen = self._components
+        comps, seen, _, _ = self._components
         if x not in seen:
             raise ObjectNotFound(f"no object {x!r}")
         return comps[seen[x]]
 
     def isotropy_data(self, x: str) -> "IsotropyData":
         comp = self.component_of(x)
-        base = comp[0]
-        paths = {base: ()}
-        tree = set()
-        queue = deque([base])
-        while queue:
-            y = queue.popleft()
-            for g in self.generators:
-                if g.source == y and g.target not in paths:
-                    paths[g.target] = paths[y] + ((g.label, 1),)
-                    tree.add(g.label)
-                    queue.append(g.target)
-                elif g.target == y and g.source not in paths:
-                    paths[g.source] = paths[y] + ((g.label, -1),)
-                    tree.add(g.label)
-                    queue.append(g.source)
-        comp_set = set(comp)
+        _, seen, paths, trees = self._components
+        i = seen[x]
+        tree = trees[i]
         hat_gens = tuple(
             g.label
             for g in self.generators
-            if g.label not in tree and g.source in comp_set
+            if g.label not in tree and seen[g.source] == i
         )
-        relators = []
-        for r in self.relators:
-            s, _ = self.word_endpoints(r)
-            if s in comp_set:
-                relators.append(self._rewrite_letters(r.letters, tree))
-        pres = GroupPresentation(hat_gens, tuple(relators))
-        return IsotropyData(self, base, comp, paths, frozenset(tree), pres)
+        # a validated relator is closed: it starts at its anchor when empty,
+        # else in the component of its first letter
+        relators = tuple(
+            self._rewrite_letters(r.letters, tree)
+            for r in self.relators
+            if seen[self._gen[r.letters[0][0]].source if r.letters else r.at] == i
+        )
+        pres = GroupPresentation(hat_gens, relators)
+        return IsotropyData(self, comp[0], comp, paths, tree, pres)
 
     @staticmethod
     def _rewrite_letters(letters, tree) -> tuple:
@@ -483,7 +502,7 @@ class IsotropyData:
     groupoid: PresentedGroupoid
     base: str
     component: tuple
-    paths: dict = field(compare=False)
+    paths: dict = field(compare=False)  # object -> tree path from its base
     tree: frozenset
     presentation: GroupPresentation
 
@@ -556,10 +575,16 @@ def empty_morphism(target: PresentedGroupoid) -> GroupoidMorphism:
     return GroupoidMorphism(EMPTY_GROUPOID, target, {}, {})
 
 
-def compose_morphisms(t2: GroupoidMorphism, t1: GroupoidMorphism) -> GroupoidMorphism:
-    """t2 after t1; t1's target must equal t2's source (structurally)."""
+def check_composable(t2: GroupoidMorphism, t1: GroupoidMorphism):
+    """Raise NotComposable unless t1's target equals t2's source
+    (structurally)."""
     if t1.target is not t2.source and t1.target != t2.source:
         raise NotComposable("morphism composition: middle groupoid mismatch")
+
+
+def compose_morphisms(t2: GroupoidMorphism, t1: GroupoidMorphism) -> GroupoidMorphism:
+    """t2 after t1."""
+    check_composable(t2, t1)
     return GroupoidMorphism(
         t1.source,
         t2.target,

@@ -77,14 +77,18 @@ class FiniteGroup:
     def subgroups(self) -> tuple:
         """Every subgroup, ordered by (order, element tuple), enumerated once
         per group.  The cache lives in the instance __dict__, not in a
-        field, so equality and hashing are unchanged."""
+        field, so equality and hashing are unchanged.  Each subgroup found
+        is extended by one element per left coset outside it: every element
+        of g*base generates the same subgroup together with base."""
         found = {(self.identity,)}
         frontier = [(self.identity,)]
         while frontier:
             base = frontier.pop()
+            covered = set(base)
             for g in self.elements():
-                if g in base:
+                if g in covered:
                     continue
+                covered.update(self.table[g][h] for h in base)
                 bigger = subgroup_closure(self, base + (g,)).elements
                 if bigger not in found:
                     found.add(bigger)

@@ -490,6 +490,12 @@ def homology(boundaries: list) -> list:
             raise NotAChainComplex(i + 1, "boundary matrix dimensions mismatch")
         if not mats[i].mul(mats[i + 1]).is_zero():
             raise NotAChainComplex(i + 1, "d.d != 0")
+    return unchecked_homology(mats)
+
+
+def unchecked_homology(mats: list) -> list:
+    """homology() of SparseMatrix boundaries already known to form a chain
+    complex; nothing is checked."""
     red = _ChainReduction(mats)
     return [HomologyGroup(red.group(k), red, k) for k in range(len(mats) + 1)]
 
@@ -724,13 +730,8 @@ def _combine(chains: list, coefs: list) -> dict:
 
 def cohomology_ranks(homology_groups: list) -> list:
     """Universal coefficients over Z: rank H^n = rank H_n, torsion H^n =
-    torsion H_{n-1}.  Input and output are ordered by degree."""
-    out = []
-    for i, h in enumerate(homology_groups):
-        grp = h.group if isinstance(h, HomologyGroup) else h
-        prev = homology_groups[i - 1] if i > 0 else None
-        prev_t = ()
-        if prev is not None:
-            prev_t = (prev.group if isinstance(prev, HomologyGroup) else prev).torsion
-        out.append(AbelianGroup(grp.rank, tuple(prev_t)))
-    return out
+    torsion H_{n-1}.  Takes and returns AbelianGroups ordered by degree."""
+    return [
+        AbelianGroup(h.rank, homology_groups[i - 1].torsion if i else ())
+        for i, h in enumerate(homology_groups)
+    ]

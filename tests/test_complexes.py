@@ -26,6 +26,7 @@ from eqpi1.complexes import (
 )
 from eqpi1.groupoids import Gen, GroupoidMorphism, PresentedGroupoid, Word
 from eqpi1.groups import Subgroup, cyclic_group, trivial_group
+from eqpi1.intlinalg import NotAChainComplex
 from eqpi1.verdicts import LEVEL_SYNTACTIC
 
 TORUS_RELATOR = (("a", 1), ("b", 1), ("a", -1), ("b", -1))
@@ -251,6 +252,18 @@ def test_validate_boundary_of_boundary():
     )
     v = validate_complex(bad)
     assert v.is_refuted and v.witness["check"] == "d2*d3 = 0"
+    # homology raises only for a failing degree below max_dim
+    with pytest.raises(NotAChainComplex) as caught:
+        homology_of_complex(bad)
+    assert caught.value.degree == 2
+    assert homology_strings(bad, max_dim=2) == ["Z", "0", "0"]
+    open_face = GCellComplex(
+        tg, ("p", "q"), (Edge("a", "p", "q"),), (Face("c", Word.gen("a")),), (),
+        trivial_action(["p", "q", "a", "c"]),
+    )
+    with pytest.raises(NotAChainComplex) as caught:
+        homology_of_complex(open_face, max_dim=2)
+    assert caught.value.degree == 1
 
 
 def test_boundary_matrices():
@@ -314,7 +327,11 @@ def test_fundamental_groupoid_round_trip():
             (Word((("a", 1), ("b", -1)), at=None),),
         ),
     ):
-        assert fundamental_groupoid(presentation_complex(p)) == p
+        x = presentation_complex(p)
+        assert fundamental_groupoid(x) == p
+        # an edge is a generator: both directions pass the tuple through
+        assert x.edges is p.generators
+        assert fundamental_groupoid(x).generators is x.edges
 
 
 def test_presentation_complex_avoids_label_collision():
@@ -472,6 +489,13 @@ def _torus_map(face_map):
             ),
             {"check": "edge image composable", "edge": "a"},
         ),
+        (  # a^2 is not a letter of an edge path, even along a loop
+            lambda: CellularMap(
+                circle_complex(), circle_complex(), {"v": "v"},
+                {"a": Word((("a", 2),))}, {},
+            ),
+            {"check": "edge image composable", "edge": "a"},
+        ),
         (
             lambda: _torus_map({"rel0": ("missing", 1)}),
             {"check": "face image", "face": "rel0"},
@@ -483,8 +507,8 @@ def _torus_map(face_map):
     ],
     ids=[
         "edge-missing", "edge-endpoints", "edge-endpoints-empty",
-        "edge-not-composable", "edge-empty-unanchored", "face-unknown",
-        "face-sign",
+        "edge-not-composable", "edge-empty-unanchored", "edge-exponent",
+        "face-unknown", "face-sign",
     ],
 )
 def test_cellular_map_validate_witnesses(make, witness):

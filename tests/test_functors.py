@@ -1,4 +1,5 @@
 import pytest
+from naive_arrow_compare import _same_morphism, naive_naturality
 
 from eqpi1.complexes import (
     CellularMap,
@@ -20,7 +21,7 @@ from eqpi1.functors import (
     make_functor,
     validate_functoriality,
 )
-from eqpi1.functors import _same_as_composite, _same_morphism
+from eqpi1.functors import _same_as_composite
 from eqpi1.groupoids import (
     EMPTY_GROUPOID,
     Gen,
@@ -312,10 +313,11 @@ def test_completion_order_and_refuting_pair():
 
 
 def test_composite_check_matches_built_composite():
-    # the law check compares generator images without building composites;
-    # on every composable pair it must give the verdict the built composite
-    # gives: equal reduced words, words equal only modulo the relator x x,
-    # words that differ in the abelianization, and object maps that differ
+    # the law and naturality checks compare generator images without
+    # building composites; on every composable pair, identity and square
+    # they must give the verdict the built composites give: equal reduced
+    # words, words equal only modulo the relator x x, words that differ in
+    # the abelianization, and object maps that differ
     p = PresentedGroupoid(
         ("u", "v"),
         (Gen("x", "u", "u"), Gen("y", "u", "v")),
@@ -332,9 +334,16 @@ def test_composite_check_matches_built_composite():
     twist = GroupoidMorphism(
         p, p, fixed, {"x": Word.gen("x"), "y": Word((("x", 1), ("y", 1)))}
     )
-    choices = (identity_morphism(p), flip, swap, twist)
+    ident = identity_morphism(p)
+    choices = (ident, flip, swap, twist)
+    for t in choices:
+        assert str(_same_as_composite(t, ident, ident)) == str(
+            _same_morphism(t, ident)
+        )
     s3 = symmetric_group(3)
     cat = OrbitCategory(s3, family_all(s3))
+    values = {h: p for h in cat.objects}
+    functors = []
     for step in (1, 2, 3, 5):
         arrows = {m: choices[i * step % 7 % 4] for i, m in enumerate(cat.morphisms())}
         for beta in cat.morphisms():
@@ -344,6 +353,19 @@ def test_composite_check_matches_built_composite():
                 assert _same_as_composite(
                     direct, arrows[beta], arrows[alpha]
                 ) == _same_morphism(direct, built)
+        functors.append(OrbFunctor(cat, values, arrows))
+    functors.append(OrbFunctor(cat, values, {m: ident for m in cat.morphisms()}))
+    functors.append(OrbFunctor(cat, values, {m: flip for m in cat.morphisms()}))
+    for i, f in enumerate(functors):
+        for j, g in enumerate(functors):
+            # four constant components, and one choice varying by object
+            for k in range(5):
+                components = {
+                    h: choices[(h + i + 2 * j) % 4 if k == 4 else k]
+                    for h in cat.objects
+                }
+                eta = NaturalTransformation(f, g, components)
+                assert str(eta.naturality()) == str(naive_naturality(eta))
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from naive_forest import naive_component_of, naive_components, naive_isotropy_data
 from naive_relator_match import naive_match_relator
 from naive_tietze import naive_simplify_presentation
 
@@ -282,6 +283,55 @@ def test_match_relator_matches_naive_oracle(case):
         assert match_relator_as_before(p, w) == naive_match_relator(p, w)
 
 
+@st.composite
+def random_groupoids(draw):
+    """Random groupoids with isolated objects, loops and parallel
+    generators, and relators read off random walks up to their last return
+    to the start (an empty one stays anchored there)."""
+    n = draw(st.integers(1, 6))
+    objects = tuple(draw(st.permutations([f"o{i}" for i in range(n)])))
+    ends = st.sampled_from(objects)
+    gens = []
+    for i in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(("any", "loop", "parallel")))
+        if kind == "parallel" and gens:
+            _, s, t = draw(st.sampled_from(gens))
+            if draw(st.booleans()):
+                s, t = t, s
+        else:
+            s = draw(ends)
+            t = s if kind == "loop" else draw(ends)
+        gens.append(Gen(f"g{i}", s, t))
+    relators = []
+    for _ in range(draw(st.integers(0, 4))):
+        start = cur = draw(ends)
+        letters, closed = [], 0
+        for _ in range(draw(st.integers(0, 8))):
+            steps = [(g.label, 1, g.target) for g in gens if g.source == cur]
+            steps += [(g.label, -1, g.source) for g in gens if g.target == cur]
+            if not steps:
+                break
+            lab, e, cur = draw(st.sampled_from(steps))
+            letters.append((lab, e))
+            if cur == start:
+                closed = len(letters)
+        at = start if closed == 0 or draw(st.booleans()) else None
+        relators.append(Word(tuple(letters[:closed]), at=at))
+    return PresentedGroupoid(objects, tuple(gens), tuple(relators))
+
+
+@given(random_groupoids())
+@settings(max_examples=300, deadline=None)
+def test_spanning_forest_matches_naive_oracle(p):
+    assert p.components() == naive_components(p)[0]
+    for x in p.objects:
+        assert p.component_of(x) == naive_component_of(p, x)
+        data, want = p.isotropy_data(x), naive_isotropy_data(p, x)
+        assert data == want  # base, component, tree and presentation
+        for lab in want.presentation.generators:
+            assert data.hat_loop_word(lab) == want.hat_loop_word(lab)
+
+
 @pytest.mark.parametrize(
     "args, size, simplified",
     [((6, 0), (66, 468), (0, 0)), ((5, 0, 3), (70, 425), (5, 5))],
@@ -348,16 +398,21 @@ def test_word_endpoints():
     assert g.word_source(loop) == "p"
     assert g.word_target(loop) == "p"
     assert g.word_endpoints(Word.empty("q")) == ("q", "q")
-    with pytest.raises(NotComposable):
-        g.word_endpoints(Word((("a", 1), ("a", 1))))
-    with pytest.raises(ObjectNotFound):
-        g.word_endpoints(Word(()))
-    with pytest.raises(ObjectNotFound):
-        g.word_endpoints(Word((), at="nope"))
-    with pytest.raises(ObjectNotFound):
-        g.word_endpoints(Word.gen("z"))
-    with pytest.raises(ValueError):
-        g.word_endpoints(Word((("a", 2),)))
+    # the message names the first letter that breaks the walk
+    errors = [
+        ((("a", 1), ("a", 1)), None, NotComposable,
+         "word a a: letter a^1 starts at p, expected q"),
+        ((), None, ObjectNotFound, "empty word has no valid anchor: @ None"),
+        ((), "nope", ObjectNotFound, "empty word has no valid anchor: @ nope"),
+        ((("z", 1),), None, ObjectNotFound, "no generator 'z'"),
+        ((("a", 1), ("z", 1)), None, ObjectNotFound, "no generator 'z'"),
+        ((("a", 2),), None, ValueError, "letter exponent must be +-1: a^2"),
+        ((("b", 1), ("a", 2)), None, ValueError, "letter exponent must be +-1: a^2"),
+    ]
+    for letters, at, error, message in errors:
+        with pytest.raises(error) as caught:
+            g.word_endpoints(Word(letters, at=at))
+        assert str(caught.value) == message
 
 
 def test_free_reduce_keeps_anchor():

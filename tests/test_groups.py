@@ -285,6 +285,31 @@ def test_enumerate_subgroups_s4_matches_naive_enumeration():
     assert [s.elements for s in subs] == want
 
 
+def element_by_element_subgroups(g):
+    """The subgroup search before it tried one element per left coset:
+    join each subgroup found with every element outside it."""
+    found = {(g.identity,)}
+    frontier = [(g.identity,)]
+    while frontier:
+        base = frontier.pop()
+        for x in g.elements():
+            if x in base:
+                continue
+            bigger = subgroup_closure(g, base + (x,)).elements
+            if bigger not in found:
+                found.add(bigger)
+                frontier.append(bigger)
+    return sorted(found, key=lambda t: (len(t), t))
+
+
+@pytest.mark.parametrize("n, count", [(4, 30), (5, 156)])
+def test_subgroups_match_element_by_element_search(n, count):
+    g = symmetric_group(n)
+    subs = [s.elements for s in g.subgroups]
+    assert len(subs) == count
+    assert subs == element_by_element_subgroups(g)
+
+
 def test_enumerate_subgroups_is_cached_per_group():
     g = symmetric_group(4)
     first = enumerate_subgroups(g)
