@@ -29,6 +29,7 @@ import json
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
 
 from .complexes import Edge, Face, GCellComplex, Solid
 from .groups import (
@@ -135,11 +136,12 @@ class InputDocument:
 # before it is expanded, so a huge exponent is refused, not allocated.
 MAX_WORD_LETTERS = 100_000
 
-_TOP = ("group", "family", "groupoid", "functor", "complex")
-_GROUPOID_KW = ("objects", "gen", "rel")
-_COMPLEX_KW = ("vertices", "edge", "face", "solid", "action")
-_ARROW_KW = ("obj", "gen")
-_FUNCTOR_KW = ("value", "arrow")
+
+def _choices(words) -> str:
+    quoted = [f"'{w}'" for w in words]
+    if len(quoted) <= 2:
+        return " or ".join(quoted)
+    return ", ".join(quoted[:-1]) + ", or " + quoted[-1]
 
 
 class _Parser:
@@ -149,6 +151,17 @@ class _Parser:
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def at(self, kind) -> bool:
+        t = self.peek()
+        return t is not None and t.kind == kind
+
+    def here(self):
+        """The next token inside a block, where end of input is an error."""
+        t = self.peek()
+        if t is None:
+            raise DocumentSyntaxError("unexpected end of input inside a block", 0, 0)
+        return t
 
     def next(self):
         t = self.peek()
@@ -172,20 +185,54 @@ class _Parser:
     def expect_int(self, what="an integer"):
         return int(self.expect("INT", what).value)
 
-    def take_word(self, value):
+    def skip(self, kind) -> bool:
+        """Consume the next token if it has this kind."""
+        if self.at(kind):
+            self.pos += 1
+            return True
+        return False
+
+    def items(self, kind, read, what=None) -> list:
+        """read() while the next token has this kind; with what, at least
+        once."""
+        found = []
+        while self.at(kind):
+            found.append(read())
+        if what and not found:
+            t = self.here()
+            raise DocumentSyntaxError(f"expected {what}", t.line, t.col)
+        return found
+
+    def block(self, item, opening="'{'"):
+        """'{' item ... '}', calling item() until the closing brace."""
+        self.expect("LBRACE", opening)
+        while self.here().kind != "RBRACE":
+            item()
+        self.next()
+
+    def dispatch(self, handlers, what=None, unknown=None):
+        """Read a keyword and return handlers[keyword](its token).  The
+        error names what (by default the keywords), or unknown when the
+        token is a word that is not a keyword."""
         t = self.next()
-        if t.kind != "WORD" or t.value != value:
+        handler = handlers.get(t.value) if t.kind == "WORD" else None
+        if handler is None:
+            what = what or _choices(handlers)
+            if unknown and t.kind == "WORD":
+                what = unknown
             raise DocumentSyntaxError(
-                f"expected {value!r}, found {t.value!r}", t.line, t.col
+                f"expected {what}, found {t.value!r}", t.line, t.col
             )
-        return t
+        return handler(t)
+
+    def statements(self, handlers, unknown=None):
+        """A block of keyword statements."""
+        self.block(lambda: self.dispatch(handlers, unknown=unknown))
 
     def parse_word_letters(self, stop_words):
         """Letters up to the next keyword or closing brace; '@ obj' gives the
         empty word."""
-        t = self.peek()
-        if t is not None and t.kind == "AT":
-            self.next()
+        if self.skip("AT"):
             anchor = self.expect_word("an object name after '@'")
             return Word((), at=anchor.value)
         letters = []
@@ -196,20 +243,13 @@ class _Parser:
             if t.kind == "WORD" and t.value in stop_words:
                 break
             lab = self.expect_word("a generator label")
-            exp = 1
-            nxt = self.peek()
-            if nxt is not None and nxt.kind == "CARET":
-                self.next()
-                exp = self.expect_int("an exponent after '^'")
+            exp = self.expect_int("an exponent after '^'") if self.skip("CARET") else 1
             if len(letters) + abs(exp) > MAX_WORD_LETTERS:
                 raise SchemaViolation(
                     f"line {lab.line}, column {lab.col}: word longer than "
                     f"{MAX_WORD_LETTERS} letters"
                 )
-            if exp >= 0:
-                letters.extend((lab.value, 1) for _ in range(exp))
-            else:
-                letters.extend((lab.value, -1) for _ in range(-exp))
+            letters.extend([(lab.value, 1 if exp >= 0 else -1)] * abs(exp))
         if not letters:
             t = self.peek()
             line, col = (t.line, t.col) if t else (0, 0)
@@ -221,62 +261,64 @@ class _Parser:
 
 def parse_document(text: str) -> InputDocument:
     p = _Parser(tokenize(text))
-    group = None
-    family = None
-    groupoids = {}
-    functors = {}
-    complexes = {}
-    functor_specs = []
-    order = []
-    names = set()
-    while p.peek() is not None:
-        t = p.expect_word("a statement keyword")
-        if t.value not in _TOP:
-            raise DocumentSyntaxError(
-                f"expected one of {', '.join(_TOP)}, found {t.value!r}",
-                t.line,
-                t.col,
-            )
-        if t.value == "group":
-            if group is not None:
-                raise SchemaViolation("more than one group statement")
-            group = _parse_group(p)
-        elif t.value == "family":
-            if family is not None:
-                raise SchemaViolation("more than one family statement")
-            if group is None:
-                raise SchemaViolation("family needs a group statement first")
-            family = _parse_family(p, group)
-        elif t.value == "groupoid":
-            name = p.expect_word("a groupoid name").value
-            if name in names:
-                raise SchemaViolation(f"duplicate name {name!r}")
-            names.add(name)
-            groupoids[name] = _parse_groupoid(p)
-            order.append(("groupoid", name))
-        elif t.value == "functor":
-            name = p.expect_word("a functor name").value
-            if name in names:
-                raise SchemaViolation(f"duplicate name {name!r}")
-            names.add(name)
-            functor_specs.append((name, _parse_functor_body(p)))
-            order.append(("functor", name))
-        else:
-            name = p.expect_word("a complex name").value
-            if name in names:
-                raise SchemaViolation(f"duplicate name {name!r}")
-            names.add(name)
-            complexes[name] = _parse_complex(p, group)
-            order.append(("complex", name))
+    group = family = None
+    groupoids, complexes, functor_specs = {}, {}, []
+    declared = {}  # name -> "groupoid" | "functor" | "complex", in order
 
-    declared = group is not None
-    if group is None:
-        group = trivial_group()
+    def declare(kind):
+        name = p.expect_word(f"a {kind} name").value
+        if name in declared:
+            raise SchemaViolation(f"duplicate name {name!r}")
+        declared[name] = kind
+        return name
+
+    def read_group(t):
+        nonlocal group
+        if group is not None:
+            raise SchemaViolation("more than one group statement")
+        if complexes:  # already built over the trivial group
+            raise SchemaViolation(
+                "the group statement must come before every complex"
+            )
+        group = _parse_group(p)
+
+    def read_family(t):
+        nonlocal family
+        if family is not None:
+            raise SchemaViolation("more than one family statement")
+        if group is None:
+            raise SchemaViolation("family needs a group statement first")
+        family = _parse_family(p, group)
+
+    def read_groupoid(t):
+        name = declare("groupoid")
+        groupoids[name] = _parse_groupoid(p)
+
+    def read_functor(t):
+        name = declare("functor")
+        functor_specs.append((name, _parse_functor_body(p)))
+
+    def read_complex(t):
+        name = declare("complex")
+        complexes[name] = _parse_complex(p, group or trivial_group())
+
+    handlers = {
+        "group": read_group,
+        "family": read_family,
+        "groupoid": read_groupoid,
+        "functor": read_functor,
+        "complex": read_complex,
+    }
+    while p.peek() is not None:
+        p.dispatch(handlers, "a statement keyword", "one of " + ", ".join(handlers))
+
+    order = tuple((kind, name) for name, kind in declared.items())
     doc = InputDocument(
-        group, declared, family, groupoids, functors, complexes, tuple(order)
+        group or trivial_group(), group is not None, family, groupoids, {},
+        complexes, order,
     )
     for name, spec in functor_specs:
-        functors[name] = _build_functor(name, spec, doc.category, groupoids)
+        doc.functors[name] = _build_functor(name, spec, doc.category, groupoids)
     return doc
 
 
@@ -286,84 +328,55 @@ def parse_path(path) -> InputDocument:
 
 
 def _parse_group(p: _Parser) -> FiniteGroup:
-    t = p.expect_word("'table' or 'permutations'")
-    if t.value == "table":
-        p.expect("LBRACE", "'{'")
+    def table(t):
         rows = []
-        while not _at_rbrace(p):
-            p.take_word("row")
-            row = []
-            while p.peek() is not None and p.peek().kind == "INT":
-                row.append(p.expect_int())
-            if not row:
-                tok = p.peek()
-                raise DocumentSyntaxError(
-                    "expected entries after 'row'", tok.line, tok.col
-                )
-            rows.append(tuple(row))
-        p.expect("RBRACE", "'}'")
+        p.statements({"row": lambda _: rows.append(
+            tuple(p.items("INT", p.expect_int, "entries after 'row'"))
+        )})
         try:
             return group_from_table(tuple(rows))
         except ValueError as e:
             raise SchemaViolation(f"bad group table: {e}") from e
-    if t.value == "permutations":
+
+    def permutations(t):
         degree = p.expect_int("the degree")
-        p.expect("LBRACE", "'{'")
         perms = []
-        while not _at_rbrace(p):
-            p.take_word("perm")
-            cycles = []
-            while p.peek() is not None and p.peek().kind == "LPAREN":
-                p.next()
-                cyc = []
-                while p.peek() is not None and p.peek().kind == "INT":
-                    cyc.append(p.expect_int())
-                p.expect("RPAREN", "')'")
-                cycles.append(tuple(cyc))
-            if not cycles:
-                tok = p.peek()
-                raise DocumentSyntaxError(
-                    "expected cycles after 'perm'", tok.line, tok.col
-                )
+
+        def cycle():
+            p.next()
+            points = p.items("INT", p.expect_int)
+            p.expect("RPAREN", "')'")
+            return tuple(points)
+
+        def perm(_):
+            cycles = p.items("LPAREN", cycle, "cycles after 'perm'")
             try:
                 perms.append(cycles_to_permutation(cycles, degree))
             except ValueError as e:
                 raise SchemaViolation(f"bad permutation: {e}") from e
-        p.expect("RBRACE", "'}'")
-        try:
-            return group_from_permutations(perms, degree)
-        except ValueError as e:
-            raise SchemaViolation(f"bad permutation group: {e}") from e
-    raise DocumentSyntaxError(
-        f"expected 'table' or 'permutations', found {t.value!r}", t.line, t.col
-    )
 
+        p.statements({"perm": perm})
+        return group_from_permutations(perms, degree)
 
-def _at_rbrace(p: _Parser) -> bool:
-    t = p.peek()
-    if t is None:
-        raise DocumentSyntaxError("unexpected end of input inside a block", 0, 0)
-    return t.kind == "RBRACE"
+    return p.dispatch({"table": table, "permutations": permutations})
 
 
 def _parse_family(p: _Parser, group: FiniteGroup) -> SubgroupFamily:
-    t = p.peek()
-    if t is not None and t.kind == "WORD" and t.value in ("all", "trivial", "fin"):
-        p.next()
-        if t.value == "trivial":
-            return family_trivial(group)
-        return family_all(group)
-    p.expect("LBRACE", "'all', 'trivial', or '{'")
+    if p.at("WORD") and p.peek().value in ("all", "trivial", "fin"):
+        word = p.next().value
+        return family_trivial(group) if word == "trivial" else family_all(group)
     subs = enumerate_subgroups(group)
     ids = []
-    while not _at_rbrace(p):
+
+    def member():
         i = p.expect_int("a subgroup id")
         if not 0 <= i < len(subs):
             raise SchemaViolation(
                 f"subgroup id {i} out of range (the group has {len(subs)} subgroups)"
             )
         ids.append(i)
-    p.expect("RBRACE", "'}'")
+
+    p.block(member, "'all', 'trivial', or '{'")
     members = tuple(subs[i] for i in sorted(set(ids)))
     try:
         return validate_family(group, members)
@@ -371,52 +384,62 @@ def _parse_family(p: _Parser, group: FiniteGroup) -> SubgroupFamily:
         raise SchemaViolation(f"bad family: {e}") from e
 
 
-def _parse_groupoid(p: _Parser) -> PresentedGroupoid:
-    p.expect("LBRACE", "'{'")
-    objects = []
-    gens = []
-    rels = []
-    while not _at_rbrace(p):
-        t = p.expect_word("'objects', 'gen', or 'rel'")
-        if t.value == "objects":
-            while p.peek() is not None and p.peek().kind == "WORD" and (
-                p.peek().value not in _GROUPOID_KW
-            ):
-                objects.append(p.expect_word().value)
-        elif t.value == "gen":
-            lab = p.expect_word("a generator label")
-            src = p.expect_word("a source object")
-            tgt = p.expect_word("a target object")
-            gens.append((lab, src, tgt))
-        elif t.value == "rel":
-            rels.append((p.parse_word_letters(_GROUPOID_KW), t))
-        else:
-            raise DocumentSyntaxError(
-                f"expected 'objects', 'gen', or 'rel', found {t.value!r}",
-                t.line,
-                t.col,
-            )
-    p.expect("RBRACE", "'}'")
-    objset = set(objects)
-    for lab, src, tgt in gens:
+def _names(p: _Parser, keywords) -> list:
+    """The names of an 'objects' or 'vertices' list, up to the next
+    keyword."""
+    names = []
+    while p.at("WORD") and p.peek().value not in keywords:
+        names.append(p.next().value)
+    return names
+
+
+def _link(p: _Parser, label: str, noun: str):
+    """The tokens of 'LABEL SOURCE TARGET' in a 'gen' or 'edge' statement."""
+    return (
+        p.expect_word(label),
+        p.expect_word(f"a source {noun}"),
+        p.expect_word(f"a target {noun}"),
+    )
+
+
+def _check_ends(links, known: set, kind: str, noun: str):
+    """Each source and target of the links is in known."""
+    for lab, src, tgt in links:
         for end in (src, tgt):
-            if end.value not in objset:
+            if end.value not in known:
                 raise DanglingReference(
-                    f"generator {lab.value!r} endpoint {end.value!r} is not an object",
+                    f"{kind} {lab.value!r} endpoint {end.value!r} is not {noun}",
                     end.line,
                     end.col,
                 )
-    labels = {lab.value for lab, _, _ in gens}
+
+
+def _check_word(w: Word, t, ends, labels, anchored: str, uses: str):
+    """An empty word sits at one of ends and every letter is one of labels;
+    a refusal is reported at the statement token t."""
+    if w.is_empty and w.at not in ends:
+        raise DanglingReference(f"{anchored} {w.at!r}", t.line, t.col)
+    for letter, _ in w.letters:
+        if letter not in labels:
+            raise DanglingReference(f"{uses} {letter!r}", t.line, t.col)
+
+
+def _parse_groupoid(p: _Parser) -> PresentedGroupoid:
+    objects, gens, rels = [], [], []
+    keywords = {
+        "objects": lambda t: objects.extend(_names(p, keywords)),
+        "gen": lambda t: gens.append(_link(p, "a generator label", "object")),
+        "rel": lambda t: rels.append((p.parse_word_letters(keywords), t)),
+    }
+    p.statements(keywords)
+    objset, labels = set(objects), {lab.value for lab, _, _ in gens}
+    _check_ends(gens, objset, "generator", "an object")
     for w, t in rels:
-        if w.is_empty and w.at not in objset:
-            raise DanglingReference(
-                f"empty relator anchored at unknown object {w.at!r}", t.line, t.col
-            )
-        for letter, _ in w.letters:
-            if letter not in labels:
-                raise DanglingReference(
-                    f"relator uses unknown generator {letter!r}", t.line, t.col
-                )
+        _check_word(
+            w, t, objset, labels,
+            "empty relator anchored at unknown object",
+            "relator uses unknown generator",
+        )
     try:
         return PresentedGroupoid(
             tuple(objects),
@@ -428,45 +451,30 @@ def _parse_groupoid(p: _Parser) -> PresentedGroupoid:
 
 
 def _parse_functor_body(p: _Parser):
-    p.expect("LBRACE", "'{'")
-    values = []
-    arrows = []
-    while not _at_rbrace(p):
-        t = p.expect_word("'value' or 'arrow'")
-        if t.value == "value":
-            sid = p.expect_int("a subgroup id")
-            name = p.expect_word("a groupoid name")
-            values.append((sid, name))
-        elif t.value == "arrow":
-            hid = p.expect_int("the source subgroup id")
-            kid = p.expect_int("the target subgroup id")
-            rep = p.expect_int("a coset representative")
-            p.expect("LBRACE", "'{'")
-            objs = []
-            gens = []
-            while not _at_rbrace(p):
-                tt = p.expect_word("'obj' or 'gen'")
-                if tt.value == "obj":
-                    a = p.expect_word("an object name")
-                    b = p.expect_word("an object name")
-                    objs.append((a, b))
-                elif tt.value == "gen":
-                    lab = p.expect_word("a generator label")
-                    w = p.parse_word_letters(_ARROW_KW)
-                    gens.append((lab, w))
-                else:
-                    raise DocumentSyntaxError(
-                        f"expected 'obj' or 'gen', found {tt.value!r}",
-                        tt.line,
-                        tt.col,
-                    )
-            p.expect("RBRACE", "'}'")
-            arrows.append((hid, kid, rep, objs, gens, t))
-        else:
-            raise DocumentSyntaxError(
-                f"expected 'value' or 'arrow', found {t.value!r}", t.line, t.col
-            )
-    p.expect("RBRACE", "'}'")
+    values, arrows = [], []
+
+    def arrow(t):
+        hid = p.expect_int("the source subgroup id")
+        kid = p.expect_int("the target subgroup id")
+        rep = p.expect_int("a coset representative")
+        objs, gens = [], []
+        keywords = {
+            "obj": lambda _: objs.append(
+                (p.expect_word("an object name"), p.expect_word("an object name"))
+            ),
+            "gen": lambda _: gens.append(
+                (p.expect_word("a generator label"), p.parse_word_letters(keywords))
+            ),
+        }
+        p.statements(keywords)
+        arrows.append((hid, kid, rep, objs, gens, t))
+
+    p.statements({
+        "value": lambda _: values.append(
+            (p.expect_int("a subgroup id"), p.expect_word("a groupoid name"))
+        ),
+        "arrow": arrow,
+    })
     return values, arrows
 
 
@@ -525,92 +533,54 @@ def _build_functor(name, spec, cat, groupoids) -> OrbFunctor:
     return functor
 
 
-def _parse_complex(p: _Parser, group) -> GCellComplex:
-    if group is None:
-        group = trivial_group()
-    p.expect("LBRACE", "'{'")
-    vertices = []
-    edges = []
-    faces = []
-    solids = []
-    action_stmts = []
-    while not _at_rbrace(p):
-        t = p.expect_word("'vertices', 'edge', 'face', 'solid', or 'action'")
-        if t.value == "vertices":
-            while p.peek() is not None and p.peek().kind == "WORD" and (
-                p.peek().value not in _COMPLEX_KW
-            ):
-                vertices.append(p.expect_word().value)
-        elif t.value == "edge":
-            lab = p.expect_word("an edge label")
-            src = p.expect_word("a source vertex")
-            tgt = p.expect_word("a target vertex")
-            edges.append((lab, src, tgt))
-        elif t.value == "face":
-            lab = p.expect_word("a face label")
-            w = p.parse_word_letters(_COMPLEX_KW)
-            faces.append((lab, w))
-        elif t.value == "solid":
-            lab = p.expect_word("a solid label")
-            p.expect("LBRACE", "'{'")
-            chain = []
-            while not _at_rbrace(p):
-                coef = p.expect_int("a coefficient")
-                cell = p.expect_word("a face label")
-                chain.append((coef, cell))
-            p.expect("RBRACE", "'}'")
-            solids.append((lab, tuple(chain), t))
-        elif t.value == "action":
-            el = p.expect_int("a group element id")
-            p.expect("LBRACE", "'{'")
-            moves = []
-            while not _at_rbrace(p):
-                a = p.expect_word("a cell label")
-                p.expect("ARROW", "'->'")
-                b = p.expect_word("a cell label")
-                sign = 1
-                if p.peek() is not None and p.peek().kind == "CARET":
-                    p.next()
-                    sign = p.expect_int("an exponent")
-                    if sign not in (1, -1):
-                        raise SchemaViolation(
-                            f"action exponent must be 1 or -1, got {sign}"
-                        )
-                moves.append((a, b, sign))
-            p.expect("RBRACE", "'}'")
-            action_stmts.append((el, moves, t))
-        else:
-            raise DocumentSyntaxError(
-                f"expected a complex statement, found {t.value!r}", t.line, t.col
-            )
-    p.expect("RBRACE", "'}'")
+def _parse_complex(p: _Parser, group: FiniteGroup) -> GCellComplex:
+    vertices, edges, faces, solids, action_stmts = [], [], [], [], []
 
-    vset = {v for v in vertices}
-    for lab, src, tgt in edges:
-        for end in (src, tgt):
-            if end.value not in vset:
-                raise DanglingReference(
-                    f"edge {lab.value!r} endpoint {end.value!r} is not a vertex",
-                    end.line,
-                    end.col,
-                )
-    eset = {lab.value for lab, _, _ in edges}
+    def solid(t):
+        lab = p.expect_word("a solid label")
+        chain = []
+        p.block(lambda: chain.append(
+            (p.expect_int("a coefficient"), p.expect_word("a face label"))
+        ))
+        solids.append((lab, tuple(chain)))
+
+    def action(t):
+        el = p.expect_int("a group element id")
+        moves = []
+
+        def move():
+            a = p.expect_word("a cell label")
+            p.expect("ARROW", "'->'")
+            b = p.expect_word("a cell label")
+            sign = p.expect_int("an exponent") if p.skip("CARET") else 1
+            if sign not in (1, -1):
+                raise SchemaViolation(f"action exponent must be 1 or -1, got {sign}")
+            moves.append((a, b, sign))
+
+        p.block(move)
+        action_stmts.append((el, moves))
+
+    keywords = {
+        "vertices": lambda t: vertices.extend(_names(p, keywords)),
+        "edge": lambda t: edges.append(_link(p, "an edge label", "vertex")),
+        "face": lambda t: faces.append(
+            (p.expect_word("a face label"), p.parse_word_letters(keywords))
+        ),
+        "solid": solid,
+        "action": action,
+    }
+    p.statements(keywords, unknown="a complex statement")
+
+    vset, eset = set(vertices), {lab.value for lab, _, _ in edges}
+    _check_ends(edges, vset, "edge", "a vertex")
     for lab, w in faces:
-        if w.is_empty and w.at not in vset:
-            raise DanglingReference(
-                f"face {lab.value!r} anchored at unknown vertex {w.at!r}",
-                lab.line,
-                lab.col,
-            )
-        for letter, _ in w.letters:
-            if letter not in eset:
-                raise DanglingReference(
-                    f"face {lab.value!r} uses unknown edge {letter!r}",
-                    lab.line,
-                    lab.col,
-                )
+        _check_word(
+            w, lab, vset, eset,
+            f"face {lab.value!r} anchored at unknown vertex",
+            f"face {lab.value!r} uses unknown edge",
+        )
     fset = {lab.value for lab, _ in faces}
-    for lab, chain, t in solids:
+    for lab, chain in solids:
         for _, cell in chain:
             if cell.value not in fset:
                 raise DanglingReference(
@@ -618,15 +588,10 @@ def _parse_complex(p: _Parser, group) -> GCellComplex:
                     cell.line,
                     cell.col,
                 )
-    all_cells = (
-        list(vertices)
-        + [lab.value for lab, _, _ in edges]
-        + [lab.value for lab, _ in faces]
-        + [lab.value for lab, _, _t in solids]
-    )
+    all_cells = vertices + [lab.value for lab, *_ in edges + faces + solids]
     cellset = set(all_cells)
     given = {}
-    for el, moves, t in action_stmts:
+    for el, moves in action_stmts:
         if not 0 <= el < group.order:
             raise SchemaViolation(
                 f"action element id {el} out of range for a group of order {group.order}"
@@ -645,9 +610,7 @@ def _parse_complex(p: _Parser, group) -> GCellComplex:
                 )
             table[a.value] = (b.value, sign)
         if el in given and given[el] != table:
-            raise SchemaViolation(
-                f"element {el} is given two different actions"
-            )
+            raise SchemaViolation(f"element {el} is given two different actions")
         given[el] = table
 
     action = _complete_action(group, given, all_cells)
@@ -659,7 +622,7 @@ def _parse_complex(p: _Parser, group) -> GCellComplex:
             tuple(Face(lab.value, w) for lab, w in faces),
             tuple(
                 Solid(lab.value, tuple((c, cell.value) for c, cell in chain))
-                for lab, chain, _ in solids
+                for lab, chain in solids
             ),
             action,
         )
@@ -669,34 +632,33 @@ def _parse_complex(p: _Parser, group) -> GCellComplex:
 
 def _complete_action(group: FiniteGroup, given: dict, cells) -> dict:
     """Close a partial action (identity plus any listed elements) under
-    composition; unlisted group elements must be reachable as products."""
+    composition: a breadth-first search from the identity sets
+    rho(g s) = rho(g) rho(s) for every reached g and listed s, and checks
+    the equation wherever g s was reached before.  By induction on word
+    length that is the homomorphism property on the generated subgroup;
+    unlisted group elements must be reachable as products."""
     identity_table = {c: (c, 1) for c in cells}
+    if given.get(group.identity, identity_table) != identity_table:
+        raise SchemaViolation("the identity element must act trivially")
+    listed = [(s, table) for s, table in given.items() if s != group.identity]
     known = {group.identity: identity_table}
-    for el, table in given.items():
-        if el == group.identity:
-            if table != identity_table:
-                raise SchemaViolation("the identity element must act trivially")
-            continue
-        known[el] = table
-    changed = True
-    while changed:
-        changed = False
-        for g in list(known):
-            for h in list(known):
-                gh = group.mul(g, h)
-                composed = {}
-                for c in cells:
-                    ih, sh = known[h][c]
-                    ig, sg = known[g][ih]
-                    composed[c] = (ig, sg * sh)
-                if gh in known:
-                    if known[gh] != composed:
-                        raise SchemaViolation(
-                            f"action statements are inconsistent at element {gh}"
-                        )
-                else:
-                    known[gh] = composed
-                    changed = True
+    queue = [group.identity]
+    for g in queue:
+        rho = known[g]
+        for s, sigma in listed:
+            composed = {}
+            for c in cells:
+                img, sign = sigma[c]
+                img_g, sign_g = rho[img]
+                composed[c] = (img_g, sign_g * sign)
+            gs = group.mul(g, s)
+            if gs not in known:
+                known[gs] = composed
+                queue.append(gs)
+            elif known[gs] != composed:
+                raise SchemaViolation(
+                    f"action statements are inconsistent at element {gs}"
+                )
     missing = [g for g in group.elements() if g not in known]
     if missing:
         raise SchemaViolation(
@@ -710,16 +672,9 @@ def render_word(w: Word) -> str:
     if not w.letters:
         return f"@ {w.at}"
     parts = []
-    i = 0
-    letters = list(w.letters)
-    while i < len(letters):
-        lab, e = letters[i]
-        run = 1
-        while i + run < len(letters) and letters[i + run] == (lab, e):
-            run += 1
-        exp = e * run
+    for (lab, e), run in groupby(w.letters):
+        exp = e * len(list(run))
         parts.append(lab if exp == 1 else f"{lab}^{exp}")
-        i += run
     return " ".join(parts)
 
 
@@ -830,66 +785,54 @@ def _groupoid_data(g: PresentedGroupoid) -> dict:
     }
 
 
+def _functor_data(f: OrbFunctor) -> dict:
+    arrows = []
+    for m in f.category.morphisms():
+        t = f.arrows[m]
+        arrows.append({
+            "source": m.source,
+            "target": m.target,
+            "representative": m.representative,
+            "objects": {x: t.object_map[x] for x in t.source.objects},
+            "generators": {
+                g.label: _word_data(t.generator_map[g.label])
+                for g in t.source.generators
+            },
+        })
+    values = {str(h): _groupoid_data(f.values[h]) for h in f.category.objects}
+    return {"values": values, "arrows": arrows}
+
+
+def _complex_data(x: GCellComplex) -> dict:
+    return {
+        "vertices": list(x.vertices),
+        "edges": [[e.label, e.source, e.target] for e in x.edges],
+        "faces": [[f.label, _word_data(f.word)] for f in x.faces],
+        "solids": [[s.label, [[c, lab] for c, lab in s.chain]] for s in x.solids],
+        "action": {
+            str(g): {lab: [img, sign] for lab, (img, sign) in x.action[g].items()}
+            for g in x.group.elements()
+        },
+    }
+
+
 def document_data(doc: InputDocument) -> dict:
     """JSON-ready mirror of a document."""
     data = {}
     if doc.group_declared:
+        elements = doc.group.elements()
         data["group"] = {
-            "table": [
-                [doc.group.mul(g, h) for h in doc.group.elements()]
-                for g in doc.group.elements()
-            ]
+            "table": [[doc.group.mul(g, h) for h in elements] for g in elements]
         }
     if doc.family is not None:
-        data["family"] = {
-            "members": [list(s.elements) for s in doc.family.members]
-        }
-    if doc.groupoids:
-        data["groupoids"] = {
-            name: _groupoid_data(g) for name, g in doc.groupoids.items()
-        }
-    if doc.functors:
-        data["functors"] = {}
-        for name, f in doc.functors.items():
-            arrows = []
-            for m in f.category.morphisms():
-                t = f.arrows[m]
-                arrows.append(
-                    {
-                        "source": m.source,
-                        "target": m.target,
-                        "representative": m.representative,
-                        "objects": {x: t.object_map[x] for x in t.source.objects},
-                        "generators": {
-                            g.label: _word_data(t.generator_map[g.label])
-                            for g in t.source.generators
-                        },
-                    }
-                )
-            data["functors"][name] = {
-                "values": {
-                    str(hid): _groupoid_data(f.values[hid])
-                    for hid in f.category.objects
-                },
-                "arrows": arrows,
-            }
-    if doc.complexes:
-        data["complexes"] = {}
-        for name, x in doc.complexes.items():
-            action = {}
-            for g in x.group.elements():
-                action[str(g)] = {
-                    lab: [img, sign] for lab, (img, sign) in x.action[g].items()
-                }
-            data["complexes"][name] = {
-                "vertices": list(x.vertices),
-                "edges": [[e.label, e.source, e.target] for e in x.edges],
-                "faces": [[f.label, _word_data(f.word)] for f in x.faces],
-                "solids": [
-                    [s.label, [[c, lab] for c, lab in s.chain]] for s in x.solids
-                ],
-                "action": action,
-            }
+        data["family"] = {"members": [list(s.elements) for s in doc.family.members]}
+    for key, parts, to_data in (
+        ("groupoids", doc.groupoids, _groupoid_data),
+        ("functors", doc.functors, _functor_data),
+        ("complexes", doc.complexes, _complex_data),
+    ):
+        if parts:
+            data[key] = {name: to_data(part) for name, part in parts.items()}
     return data
 
 

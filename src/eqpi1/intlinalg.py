@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from heapq import heapify, heappop, heappush
 
 
 class NotAChainComplex(ValueError):
@@ -589,34 +590,11 @@ class _ChainReduction:
                 self.row_users[i - 1][r].discard(a)
 
     def _blocks(self, i: int) -> list:
-        """The residual boundary i split into the connected components of
-        its row-column graph, each as (rows, certified Smith form of the
-        component); zero rows and columns belong to no block."""
-        cols, users = self.cols[i], self.row_users[i]
-        seen = set()
-        blocks = []
-        for b in self.residual[i + 1]:
-            if b in seen or not cols[b]:
-                continue
-            seen.add(b)
-            block_rows, block_cols, stack = set(), [b], [b]
-            while stack:
-                for r in cols[stack.pop()]:
-                    if r not in block_rows:
-                        block_rows.add(r)
-                        for c in users[r] - seen:
-                            seen.add(c)
-                            block_cols.append(c)
-                            stack.append(c)
-            rows = sorted(block_rows)
-            block_cols.sort()
-            where = {r: k for k, r in enumerate(rows)}
-            a = IntMatrix(len(rows), len(block_cols))
-            for j, c in enumerate(block_cols):
-                for r, x in cols[c].items():
-                    a.data[where[r]][j] = x
-            blocks.append((rows, smith_normal_form(a)))
-        return blocks
+        """The residual boundary i split into its connected blocks, each as
+        (rows, certified Smith form of the block)."""
+        return [
+            (rows, smith_normal_form(a)) for rows, _, a in _components(self.cols[i])
+        ]
 
     def _torsion(self, i: int):
         """(factors, merge) for the residual boundary i.  factors lists
@@ -683,34 +661,87 @@ class _ChainReduction:
                 ]
         rest += [{c: 1} for c in self.residual[k] if c not in in_block]
         if k > 0 and self.blocks[k - 1] and rest:
-            # the residual d_k on rest, densified on the rows it reaches
-            images = [{} for _ in rest]
-            for img, z in zip(images, rest):
-                for c, x in z.items():
-                    for r, y in self.cols[k - 1][c].items():
-                        img[r] = img.get(r, 0) + x * y
-            rows = sorted({r for img in images for r in img})
-            dense = IntMatrix.from_columns(
-                [[img.get(r, 0) for r in rows] for img in images],
-                nrows=len(rows),
-            )
-            kernel = kernel_basis(dense)
-            rest = [_combine(rest, kernel.column(j)) for j in range(kernel.cols)]
-        free = [self._lift(k, z) for z in rest]
-        return free, [(self._lift(k, z), d) for z, d in torsion]
+            # the kernel of the residual d_k on rest, one connected block
+            # of the images at a time; a zero image is a cycle already
+            images = {j: _combine(
+                [self.cols[k - 1][c] for c in z], list(z.values())
+            ) for j, z in enumerate(rest)}
+            kernel = [rest[j] for j, img in images.items() if not img]
+            for _, cols, a in _components(images):
+                basis = kernel_basis(a)
+                kernel += [
+                    _combine([rest[j] for j in cols], basis.column(t))
+                    for t in range(basis.cols)
+                ]
+            rest = kernel
+        pairs = self.pairs[k - 1] if k > 0 else []
+        touching = {}  # k-cell -> the pairs whose recorded row has it
+        for i, (_, _, _, row) in enumerate(pairs):
+            for c, _ in row:
+                touching.setdefault(c, []).append(i)
+        free = [self._lift(k, z, pairs, touching) for z in rest]
+        return free, [(self._lift(k, z, pairs, touching), d) for z, d in torsion]
 
-    def _lift(self, k: int, z: dict) -> list:
-        """A residual k-chain {cell: coef} as a chain on all k-cells."""
+    def _lift(self, k: int, z: dict, pairs: list, touching: dict) -> list:
+        """A residual k-chain {cell: coef} as a chain on all k-cells.  The
+        removed pairs are undone latest first, and only those whose row
+        meets the chain as it grows are visited."""
         z = dict(z)
-        if k > 0:
-            for _, b, u, row in reversed(self.pairs[k - 1]):
-                s = sum(z.get(c, 0) * x for c, x in row)
-                if s:
-                    z[b] = -s * u
+        pending = [-i for c in z for i in touching.get(c, ())]
+        heapify(pending)
+        last = len(pairs)
+        while pending:
+            i = -heappop(pending)
+            if i >= last:  # queued more than once
+                continue
+            last = i
+            _, b, u, row = pairs[i]
+            s = sum(z.get(c, 0) * x for c, x in row)
+            if s:
+                z[b] = -s * u
+                for j in touching.get(b, ()):
+                    if j < i:
+                        heappush(pending, -j)
         vec = [0] * self.dims[k]
         for c, x in z.items():
             vec[c] = x
         return vec
+
+
+def _components(columns: dict) -> list:
+    """The connected blocks of the row-column graph of a sparse matrix
+    {column: {row: coef}}, in the order of their least column, each as
+    (rows, columns, the block as a dense IntMatrix) with rows and columns
+    sorted.  Zero rows and columns belong to no block."""
+    users = {}
+    for c, col in columns.items():
+        for r in col:
+            users.setdefault(r, []).append(c)
+    seen = set()
+    blocks = []
+    for b in sorted(columns):
+        if b in seen or not columns[b]:
+            continue
+        seen.add(b)
+        block_rows, block_cols, stack = set(), [b], [b]
+        while stack:
+            for r in columns[stack.pop()]:
+                if r not in block_rows:
+                    block_rows.add(r)
+                    for c in users[r]:
+                        if c not in seen:
+                            seen.add(c)
+                            block_cols.append(c)
+                            stack.append(c)
+        rows = sorted(block_rows)
+        block_cols.sort()
+        where = {r: k for k, r in enumerate(rows)}
+        a = IntMatrix(len(rows), len(block_cols))
+        for j, c in enumerate(block_cols):
+            for r, x in columns[c].items():
+                a.data[where[r]][j] = x
+        blocks.append((rows, block_cols, a))
+    return blocks
 
 
 def _block_chain(rows: list, s: SmithForm, j: int) -> dict:

@@ -257,6 +257,37 @@ def test_unusable_input(capsys, tmp_path):
     assert "line 1, column 7" in err
 
 
+@pytest.mark.parametrize("text", [
+    "group table { row",
+    "group permutations 3 { perm",
+])
+def test_truncated_group_block_exits_three(capsys, tmp_path, text):
+    doc = tmp_path / "cut.eqp"
+    doc.write_text(text)
+    code, out, err = run(capsys, "validate", str(doc))
+    assert code == 3
+    assert out == ""
+    assert err.splitlines() == [
+        "error: line 0, column 0: unexpected end of input inside a block"
+    ]
+
+
+@pytest.mark.parametrize("command", ["validate", "induced-functor"])
+def test_group_after_complex_exits_three(capsys, tmp_path, command):
+    doc = tmp_path / "late_group.eqp"
+    doc.write_text(
+        "complex c { vertices v  edge a v v }\n"
+        "group table { row 0 1  row 1 0 }\n"
+        "family all\n"
+    )
+    code, out, err = run(capsys, command, str(doc))
+    assert code == 3
+    assert out == ""
+    assert err.splitlines() == [
+        "error: the group statement must come before every complex"
+    ]
+
+
 def test_oversized_word_exits_three(capsys, tmp_path):
     doc = tmp_path / "huge.eqp"
     doc.write_text(

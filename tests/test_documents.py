@@ -71,6 +71,35 @@ def test_group_statement_errors():
         parse_document("groupoid g {")
 
 
+@pytest.mark.parametrize("text", [
+    "group table { row",
+    "group table { row 0 1  row",
+    "group permutations 3 { perm",
+    "group permutations 3 { perm (0 1)  perm",
+])
+def test_truncated_row_and_perm_lists(text):
+    with pytest.raises(DocumentSyntaxError) as err:
+        parse_document(text)
+    assert str(err.value) == "line 0, column 0: unexpected end of input inside a block"
+
+
+def test_group_must_precede_complexes():
+    text = "complex c { vertices v  edge a v v }\n" + Z2_HEADER + "family all\n"
+    with pytest.raises(SchemaViolation) as err:
+        parse_document(text)
+    assert str(err.value) == "the group statement must come before every complex"
+    # a group before the complex, and groupoids or functors before the
+    # group, are fine
+    doc = parse_document(
+        "groupoid g { objects u }\n" + Z2_HEADER
+        + "complex c { vertices v  edge a v v  action 1 { } }\n"
+    )
+    assert doc.complexes["c"].group is doc.group
+    # without any group statement a complex is over the trivial group
+    doc = parse_document("complex c { vertices v }")
+    assert doc.complexes["c"].group.order == 1 and not doc.group_declared
+
+
 def test_family_forms():
     for word, size in (("all", 2), ("fin", 2), ("trivial", 1)):
         doc = parse_document(Z2_HEADER + f"family {word}\n")

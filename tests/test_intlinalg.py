@@ -9,6 +9,11 @@ from dense_homology import dense_homology
 from dense_matrix import copy, det, is_unimodular, mul_vector, transpose
 
 from eqpi1 import intlinalg
+from eqpi1.complexes import describe_homology, homology_of_complex
+from eqpi1.documents import parse_document
+from eqpi1.functors import induced_functor_from_complex
+from eqpi1.groups import family_all
+from eqpi1.realize import build_space
 from eqpi1.intlinalg import (
     AbelianGroup,
     IntMatrix,
@@ -481,3 +486,48 @@ def test_residual_is_never_densified_whole(monkeypatch):
     chain, order = hs[0].torsion_generators[0]
     assert order == 3
     assert [(c, abs(x)) for c, x in enumerate(chain) if x] == [(rows[0], 1)]
+
+
+def test_lift_undoes_pairs_that_later_pairs_feed():
+    # a path: b0 -> a0, b_i -> a_(i-1) + a_i, c -> a_(m-1).  Each pivot
+    # pair rewrites the next column, so lifting the residual cycle c must
+    # pass every pair's correction on to the pair removed before it.
+    m = 5
+    d1 = IntMatrix(m, m + 1)
+    for i in range(m):
+        d1.data[i][i] = 1
+        if i:
+            d1.data[i - 1][i] = 1
+    d1.data[m - 1][m] = 1
+    hs = check_homology([d1])
+    assert [str(h) for h in hs] == ["0", "Z"]
+    (z,) = hs[1].free_generators
+    assert mul_vector(d1, z) == [0] * m
+    assert [abs(x) for x in z] == [1] * (m + 1)
+
+
+def test_generators_densify_no_more_than_a_block(monkeypatch, bench_inputs):
+    # the torsion cone n=5: every residual block is 1x1, and the boundaries
+    # of the 105 free candidates of H_2 are 105 separate blocks as well
+    doc = parse_document(bench_inputs.cone(5, 0, loop_power=3))
+    (x,) = doc.complexes.values()
+    space = build_space(induced_functor_from_complex(x, family_all(x.group))).space
+    reduction = homology_of_complex(space)[0]._source
+    largest = max(s.v.rows for blocks in reduction.blocks for _, s in blocks)
+    widths = []
+    for name in ("kernel_basis", "smith_normal_form"):
+        original = getattr(intlinalg, name)
+
+        def recording(a, original=original):
+            widths.append(a.cols)
+            return original(a)
+
+        monkeypatch.setattr(intlinalg, name, recording)
+    rows = describe_homology(space)
+    assert [(hg.group.rank, hg.group.torsion) for _, hg, _, _ in rows] == [
+        (1, ()), (0, (3,) * 5), (105, (3,) * 105), (0, ()),
+    ]
+    assert len(rows[2][2]) == 105 and len(rows[2][3]) == 105
+    assert largest == 1
+    assert widths and max(widths) <= largest
+
