@@ -156,18 +156,25 @@ class _Parser:
         t = self.peek()
         return t is not None and t.kind == kind
 
+    def position(self):
+        """Line and column of the next token, or of the last token at end
+        of input."""
+        t = self.peek() or (self.tokens[-1] if self.tokens else Token("", "", 1, 1))
+        return t.line, t.col
+
     def here(self):
         """The next token inside a block, where end of input is an error."""
         t = self.peek()
         if t is None:
-            raise DocumentSyntaxError("unexpected end of input inside a block", 0, 0)
+            raise DocumentSyntaxError(
+                "unexpected end of input inside a block", *self.position()
+            )
         return t
 
     def next(self):
         t = self.peek()
         if t is None:
-            last = self.tokens[-1] if self.tokens else Token("", "", 1, 1)
-            raise DocumentSyntaxError("unexpected end of input", last.line, last.col)
+            raise DocumentSyntaxError("unexpected end of input", *self.position())
         self.pos += 1
         return t
 
@@ -251,10 +258,8 @@ class _Parser:
                 )
             letters.extend([(lab.value, 1 if exp >= 0 else -1)] * abs(exp))
         if not letters:
-            t = self.peek()
-            line, col = (t.line, t.col) if t else (0, 0)
             raise DocumentSyntaxError(
-                "expected a word (letters or '@ object')", line, col
+                "expected a word (letters or '@ object')", *self.position()
             )
         return Word(tuple(letters))
 

@@ -409,9 +409,6 @@ class PresentedGroupoid:
     def word_source(self, w: Word) -> str:
         return self.word_endpoints(w)[0]
 
-    def word_target(self, w: Word) -> str:
-        return self.word_endpoints(w)[1]
-
     def free_reduce(self, w: Word) -> Word:
         src, _ = self.word_endpoints(w)
         reduced = free_reduce_letters(w.letters)
@@ -557,9 +554,6 @@ class GroupoidMorphism:
         return Word(
             expand_letters(w.letters, self.generator_map), at=self.object_map[src]
         )
-
-    def apply_reduced(self, w: Word) -> Word:
-        return self.target.free_reduce(self.apply(w))
 
 
 def identity_morphism(p: PresentedGroupoid) -> GroupoidMorphism:

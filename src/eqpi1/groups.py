@@ -96,6 +96,19 @@ class FiniteGroup:
         ordered = sorted(found, key=lambda t: (len(t), t))
         return tuple(Subgroup(t) for t in ordered)
 
+    @cached_property
+    def generators(self) -> tuple:
+        """A greedy generating set, computed once per group: the elements
+        in order, keeping each one outside the closure of those kept
+        before it."""
+        kept = []
+        reached = {self.identity}
+        for g in self.elements():
+            if g not in reached:
+                kept.append(g)
+                reached = set(subgroup_closure(self, kept).elements)
+        return tuple(kept)
+
 
 def group_from_table(table) -> FiniteGroup:
     """Validate a multiplication table and wrap it.  The whole table is

@@ -386,10 +386,6 @@ class AbelianGroup:
         parts.extend(f"Z/{d}" for d in self.torsion)
         return " + ".join(parts) if parts else "0"
 
-    @property
-    def is_trivial(self):
-        return self.rank == 0 and not self.torsion
-
 
 def quotient_invariants(relators: IntMatrix) -> AbelianGroup:
     """Invariants of Z^n / column-span(relators); rows index the generators."""

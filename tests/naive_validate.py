@@ -1,0 +1,116 @@
+"""The former complex validation, kept as a test oracle.
+
+`naive_validate_complex` checks the action on every element: the
+homomorphism law on all |G|^2 pairs and each equivariance check on every
+element.  `eqpi1.complexes.validate_complex` checks the action on a
+generating set and scans every element only to name the witness of a
+refutation; the tests require the same status, witness and level.
+"""
+
+from eqpi1.complexes import _chain_normal
+from eqpi1.groupoids import invert_letters, rotation_equal, walk_word
+from eqpi1.verdicts import LEVEL_SYNTACTIC, Verdict, combine
+
+
+def naive_validate_complex(x) -> Verdict:
+    """Mathematical well-formedness: face words are closed paths, the action
+    is a sign-respecting permutation action commuting with all boundaries,
+    setwise-fixed cells keep orientation, and the boundary of a boundary
+    vanishes."""
+    verdicts = []
+
+    for f in x.faces:
+        first, last, broken = walk_word(x.edge_by_label, f.word)
+        if broken is not None:
+            return Verdict.refuted(
+                {"check": "face word composable", "face": f.label, "letter": broken},
+                LEVEL_SYNTACTIC,
+            )
+        if first != last:
+            return Verdict.refuted(
+                {"check": "face word closed", "face": f.label, "ends": (first, last)},
+                LEVEL_SYNTACTIC,
+            )
+    verdicts.append(Verdict.verified(LEVEL_SYNTACTIC))
+
+    labels = list(x.all_labels())
+    e = x.group.identity
+    for lab in labels:
+        if x.action[e][lab] != (lab, 1):
+            return Verdict.refuted(
+                {"check": "identity acts trivially", "cell": lab},
+                LEVEL_SYNTACTIC,
+            )
+    for g in x.group.elements():
+        images = [x.action[g][lab][0] for lab in labels]
+        if len(set(images)) != len(labels):
+            return Verdict.refuted(
+                {"check": "action bijective", "element": g}, LEVEL_SYNTACTIC
+            )
+    for g in x.group.elements():
+        for h in x.group.elements():
+            gh = x.group.mul(g, h)
+            for lab in labels:
+                img_h, s_h = x.action[h][lab]
+                img_gh, s_gh = x.action[g][img_h]
+                if (img_gh, s_h * s_gh) != x.action[gh][lab]:
+                    return Verdict.refuted(
+                        {
+                            "check": "action is a homomorphism",
+                            "pair": (g, h),
+                            "cell": lab,
+                        },
+                        LEVEL_SYNTACTIC,
+                    )
+
+    for g in x.group.elements():
+        for e_ in x.edges:
+            img, sign = x.action[g][e_.label]
+            ie = x.edge_by_label[img]
+            src = x.action[g][e_.source][0]
+            tgt = x.action[g][e_.target][0]
+            want = (src, tgt) if sign == 1 else (tgt, src)
+            if (ie.source, ie.target) != want:
+                return Verdict.refuted(
+                    {"check": "action respects edge endpoints", "element": g,
+                     "edge": e_.label},
+                    LEVEL_SYNTACTIC,
+                )
+        for f in x.faces:
+            img, sign = x.action[g][f.label]
+            translated = x.translate_word(g, f.word)
+            want = translated.letters if sign == 1 else invert_letters(translated.letters)
+            got = x.face_by_label[img].word.letters
+            if not rotation_equal(got, want):
+                return Verdict.refuted(
+                    {"check": "action respects attaching words", "element": g,
+                     "face": f.label},
+                    LEVEL_SYNTACTIC,
+                )
+        for s in x.solids:
+            img, sign = x.action[g][s.label]
+            want = x.translate_chain(g, s.chain, sign)
+            got = _chain_normal(x.solid_by_label[img].chain)
+            if got != want:
+                return Verdict.refuted(
+                    {"check": "action respects solid boundaries", "element": g,
+                     "solid": s.label},
+                    LEVEL_SYNTACTIC,
+                )
+    for g in x.group.elements():
+        for lab in labels:
+            img, sign = x.action[g][lab]
+            if img == lab and sign != 1:
+                return Verdict.refuted(
+                    {"check": "fixed cells keep orientation", "element": g,
+                     "cell": lab},
+                    LEVEL_SYNTACTIC,
+                )
+    verdicts.append(Verdict.verified(LEVEL_SYNTACTIC))
+
+    bad = x._chain_defect
+    if bad is not None:
+        return Verdict.refuted({"check": f"d{bad}*d{bad + 1} = 0"}, LEVEL_SYNTACTIC)
+    verdicts.append(Verdict.verified(LEVEL_SYNTACTIC))
+
+    return combine(verdicts)

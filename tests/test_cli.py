@@ -268,7 +268,8 @@ def test_truncated_group_block_exits_three(capsys, tmp_path, text):
     assert code == 3
     assert out == ""
     assert err.splitlines() == [
-        "error: line 0, column 0: unexpected end of input inside a block"
+        f"error: line 1, column {text.rindex(' ') + 2}: "
+        "unexpected end of input inside a block"
     ]
 
 

@@ -119,7 +119,7 @@ def test_cell_bookkeeping():
     assert x.dimension_of("rel0") == 2
     with pytest.raises(InvalidComplex):
         x.dimension_of("nope")
-    assert x.act(0, "a") == ("a", 1)
+    assert x.action[0]["a"] == ("a", 1)
     w = x.translate_word(0, Word(TORUS_RELATOR, at="u"))
     assert w.letters == TORUS_RELATOR and w.at == "u"
     assert x.translate_chain(0, ((2, "rel0"), (-2, "rel0"))) == ()

@@ -78,9 +78,13 @@ def test_group_statement_errors():
     "group permutations 3 { perm (0 1)  perm",
 ])
 def test_truncated_row_and_perm_lists(text):
+    # the error points at the last token, where the input stopped
+    col = text.rindex(" ") + 2
     with pytest.raises(DocumentSyntaxError) as err:
         parse_document(text)
-    assert str(err.value) == "line 0, column 0: unexpected end of input inside a block"
+    assert str(err.value) == (
+        f"line 1, column {col}: unexpected end of input inside a block"
+    )
 
 
 def test_group_must_precede_complexes():

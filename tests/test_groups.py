@@ -321,3 +321,19 @@ def test_enumerate_subgroups_is_cached_per_group():
     fresh = symmetric_group(4)
     assert fresh == g and hash(fresh) == hash(g)
     assert "subgroups" not in fresh.__dict__
+
+
+def test_generators_are_greedy():
+    groups = [trivial_group()] + [cyclic_group(n) for n in range(2, 7)]
+    groups += [symmetric_group(n) for n in (3, 4, 5)]
+    for g in groups:
+        gens = g.generators
+        assert subgroup_closure(g, gens).order == g.order
+        for i, s in enumerate(gens):
+            assert s not in subgroup_closure(g, gens[:i])
+        assert g.generators is gens
+    assert [len(g.generators) for g in groups] == [0, 1, 1, 1, 1, 1, 2, 3, 4]
+    # the cache is not a field: equality and hashing ignore it
+    fresh = symmetric_group(4)
+    assert "generators" not in fresh.__dict__
+    assert fresh == groups[-2] and hash(fresh) == hash(groups[-2])

@@ -216,8 +216,10 @@ def test_abelian_group_str():
     assert str(AbelianGroup(3)) == "Z^3"
     assert str(AbelianGroup(2, (2, 6))) == "Z^2 + Z/2 + Z/6"
     assert str(AbelianGroup(0, (4,))) == "Z/4"
-    assert AbelianGroup(0).is_trivial
-    assert not AbelianGroup(0, (2,)).is_trivial
+    trivial = AbelianGroup(0)
+    assert trivial.rank == 0 and not trivial.torsion
+    cyclic = AbelianGroup(0, (2,))
+    assert not (cyclic.rank == 0 and not cyclic.torsion)
 
 
 def test_quotient_invariants():
