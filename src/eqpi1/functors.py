@@ -6,6 +6,9 @@ reversing direction.  Functors are built from generating data by a
 completion step (identities, arrows out of empty groupoids, composites),
 and functor laws are then checked at the word level, escalating through
 the usual verdict ladder when words cannot be compared syntactically.
+The composition law is first checked with a generating morphism of the
+orbit category as the outer factor; every composable pair is compared
+only when one of those pairs is not an equality of free-groupoid maps.
 
 The central construction is the functor induced by a complex with a group
 action: value(H) is the fundamental groupoid presentation of the H-fixed
@@ -45,6 +48,10 @@ class MissingArrow(ValueError):
     pass
 
 
+# a MissingArrow message names at most this many morphisms
+MISSING_ARROWS_NAMED = 5
+
+
 class NotEquivariant(ValueError):
     pass
 
@@ -78,7 +85,8 @@ def make_functor(category: OrbitCategory, values: dict, arrows: dict) -> OrbFunc
     empty morphisms, and remaining arrows are generated by composition
     (first definition wins; disagreements surface in
     validate_functoriality).  Raises MissingValue or MissingArrow when the
-    data cannot be completed.
+    data cannot be completed; MissingArrow names the first
+    MISSING_ARROWS_NAMED underivable morphisms and counts the rest.
     """
     vals = dict(values)
     for hid in category.objects:
@@ -105,11 +113,13 @@ def make_functor(category: OrbitCategory, values: dict, arrows: dict) -> OrbFunc
                     continue
                 done[comp] = compose_morphisms(done[alpha], done[beta])
                 changed = True
-    missing = [m for m in category.morphisms() if m not in done]
+    missing = [str(m) for m in category.morphisms() if m not in done]
     if missing:
+        more = len(missing) - MISSING_ARROWS_NAMED
         raise MissingArrow(
             "arrows not derivable from the given generators: "
-            + ", ".join(str(m) for m in missing)
+            + ", ".join(missing[:MISSING_ARROWS_NAMED])
+            + (f" ... and {more} more" if more > 0 else "")
         )
     return OrbFunctor(category, vals, done)
 
@@ -125,13 +135,25 @@ def _images_differ(label: str, v: Verdict) -> Verdict:
     )
 
 
+def _images_off_composite(
+    direct: GroupoidMorphism, first: GroupoidMorphism, second: GroupoidMorphism
+):
+    """(label, image under first) for each generator whose image under
+    direct differs, as reduced letters, from its image under second after
+    first.  The composite is valid by construction and is not built."""
+    for g in direct.source.generators:
+        w = first.generator_map[g.label]
+        out = expand_letters(w.letters, second.generator_map)
+        d = direct.generator_map[g.label]
+        if free_reduce_letters(out) != free_reduce_letters(d.letters):
+            yield g.label, w
+
+
 def _same_as_composite(
     direct: GroupoidMorphism, first: GroupoidMorphism, second: GroupoidMorphism
 ) -> Verdict:
-    """Is direct the same arrow as second after first?  The composite is
-    valid by construction and is not built: generator images are compared
-    as reduced letters, and a composite word is built only for an image
-    whose letters differ from direct's."""
+    """Is direct the same arrow as second after first?  A composite word is
+    built only for a generator whose reduced image letters differ."""
     object_map = {x: second.object_map[y] for x, y in first.object_map.items()}
     if direct.object_map != object_map:
         return Verdict.refuted(
@@ -140,25 +162,60 @@ def _same_as_composite(
             LEVEL_SYNTACTIC,
         )
     verdicts = []
-    for g in direct.source.generators:
-        w = first.generator_map[g.label]
-        out = expand_letters(w.letters, second.generator_map)
-        d = direct.generator_map[g.label]
-        # equal reduced letters verify at the syntactic level, the level
-        # combine() reports when nothing weaker is appended
-        if free_reduce_letters(out) == free_reduce_letters(d.letters):
-            continue
+    for label, w in _images_off_composite(direct, first, second):
         v = words_equal_verdict(
-            direct.target, d, second.target.free_reduce(second.apply(w))
+            direct.target, direct.generator_map[label],
+            second.target.free_reduce(second.apply(w)),
         )
         if v.is_refuted:
-            return _images_differ(g.label, v)
+            return _images_differ(label, v)
         verdicts.append(v)
+    # equal reduced letters verify at the syntactic level, the level
+    # combine() reports when nothing weaker is appended
     return combine(verdicts) if verdicts else _SYNTACTICALLY_EQUAL
 
 
+def _equal_as_free(
+    direct: GroupoidMorphism, first: GroupoidMorphism, second: GroupoidMorphism
+) -> bool:
+    """Is direct second after first as a map of free groupoids: the same
+    object map and the same reduced generator images?  Equality modulo a
+    relator, which _same_as_composite also verifies at the syntactic
+    level, does not count."""
+    object_map = {x: second.object_map[y] for x, y in first.object_map.items()}
+    return (
+        direct.object_map == object_map
+        and next(_images_off_composite(direct, first, second), None) is None
+    )
+
+
+def _laws_hold_freely(f: OrbFunctor) -> bool:
+    """Are the identity arrows identities, and F(gamma after alpha) equal to
+    F(alpha) after F(gamma) for every generating morphism gamma and every
+    alpha into its source, all as maps of free groupoids?  Then every
+    composition law holds the same way: with beta = gamma after beta',
+    induction on the number of generating factors of beta gives
+    F(beta alpha) = F(beta' alpha) F(gamma) = F(alpha) F(beta') F(gamma)
+    = F(alpha) F(beta), composites read right to left."""
+    cat, arrows = f.category, f.arrows
+    for hid in cat.objects:
+        ident = identity_morphism(f.values[hid])
+        if not _equal_as_free(arrows[cat.identity(hid)], ident, ident):
+            return False
+    return all(
+        _equal_as_free(arrows[cat.compose(gamma, alpha)], arrows[gamma], arrows[alpha])
+        for gamma in cat.generating_morphisms
+        for alpha in cat.into[gamma.source]
+    )
+
+
 def validate_functoriality(f: OrbFunctor) -> Verdict:
-    """Identity and composition laws, checked on every composable pair."""
+    """Identity and composition laws.  When the laws hold on the
+    generating morphisms as equalities of free-groupoid maps, they hold on
+    every composable pair and the check ends there.  Otherwise every
+    composable pair is compared, beta-major in morphisms() order, so a
+    refutation names the first failing pair and a weaker verdict keeps
+    its level."""
     cat = f.category
     for hid in cat.objects:
         if hid not in f.values:
@@ -171,6 +228,8 @@ def validate_functoriality(f: OrbFunctor) -> Verdict:
             return Verdict.refuted(
                 {"check": "arrow endpoints", "at": str(m)}, LEVEL_SYNTACTIC
             )
+    if _laws_hold_freely(f):
+        return combine([])
     verdicts = []
     for hid in cat.objects:
         t = f.arrows[cat.identity(hid)]

@@ -63,10 +63,6 @@ class Word:
     at: str | None = None
 
     @staticmethod
-    def empty(obj: str) -> "Word":
-        return Word((), at=obj)
-
-    @staticmethod
     def gen(label: str, exp: int = 1) -> "Word":
         return Word(((label, exp),))
 

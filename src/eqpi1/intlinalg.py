@@ -48,13 +48,6 @@ class IntMatrix:
         return m
 
     @staticmethod
-    def from_rows(rows) -> "IntMatrix":
-        rows = [list(r) for r in rows]
-        if not rows:
-            return IntMatrix(0, 0)
-        return IntMatrix(len(rows), len(rows[0]), rows)
-
-    @staticmethod
     def from_columns(cols, nrows=None) -> "IntMatrix":
         cols = [list(c) for c in cols]
         if not cols:

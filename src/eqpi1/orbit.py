@@ -13,9 +13,16 @@ deterministically: objects by subgroup id, morphisms by
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import NamedTuple
 
-from .groups import FiniteGroup, Subgroup, SubgroupFamily, enumerate_subgroups
+from .groups import (
+    FiniteGroup,
+    Subgroup,
+    SubgroupFamily,
+    conjugate_subgroup,
+    enumerate_subgroups,
+)
 
 
 class ObjectNotInFamily(ValueError):
@@ -130,6 +137,33 @@ class OrbitCategory:
     def morphisms(self) -> tuple:
         """All morphisms in deterministic order."""
         return self._morphisms
+
+    @cached_property
+    def generating_morphisms(self) -> tuple:
+        """Morphisms that generate the category under composition, in
+        morphisms() order: H -> s^-1 H s with representative s, for each
+        object H and each group generator s, and the inclusion H -> K of
+        each cover H < K in the family (no member strictly between).  A
+        morphism with representative r factors as conjugation by r, a
+        product of generators (a finite group needs no inverses), then a
+        chain of covers up to its target (tom Dieck, Transformation
+        Groups, I.10)."""
+        group = self.group
+        gens = set()
+        for hid in self.objects:
+            for s in group.generators:
+                kid = self.id_of(conjugate_subgroup(group, s, self.subgroup(hid)))
+                gens.add(OrbitMorphism(hid, kid, self.coset_rep[kid][s]))
+        members = {h: frozenset(self.subgroup(h).elements) for h in self.objects}
+        below = {
+            kid: {hid for hid in self.objects if members[hid] < k}
+            for kid, k in members.items()
+        }
+        unit = group.identity
+        for kid, inside in below.items():
+            for hid in inside.difference(*(below[lid] for lid in inside)):
+                gens.add(OrbitMorphism(hid, kid, self.coset_rep[kid][unit]))
+        return tuple(m for m in self._morphisms if m in gens)
 
     def apply(self, m: OrbitMorphism, coset_rep: int) -> int:
         """The underlying G-map on cosets: the coset (rep)H maps to the coset

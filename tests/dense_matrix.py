@@ -1,11 +1,19 @@
 """Dense IntMatrix helpers that only the tests use.
 
-The library never transposes, copies, takes determinants of, or applies a
-dense matrix to a vector; the tests do, to check Smith certificates and
-homology generators independently of the code under test.
+The library never builds a dense matrix from rows, transposes, copies,
+takes determinants of, or applies one to a vector; the tests do, to
+check Smith certificates and homology generators independently of the
+code under test.
 """
 
 from eqpi1.intlinalg import IntMatrix
+
+
+def from_rows(rows) -> IntMatrix:
+    rows = [list(r) for r in rows]
+    if not rows:
+        return IntMatrix(0, 0)
+    return IntMatrix(len(rows), len(rows[0]), rows)
 
 
 def copy(a: IntMatrix) -> IntMatrix:

@@ -470,7 +470,7 @@ def _torus_map(face_map):
         (
             lambda: CellularMap(
                 circle_complex(), interval_complex(), {"v": "p"},
-                {"a": Word.empty("q")}, {},
+                {"a": Word((), at="q")}, {},
             ),
             {"check": "edge image endpoints", "edge": "a",
              "got": ("q", "q"), "want": ("p", "p")},
@@ -565,7 +565,7 @@ def test_mapping_cylinder_circle():
     assert src_end.vertex_map == {"v": "top.v"}
 
     crush = CellularMap(
-        circle, point_complex(), {"v": "w"}, {"a": Word.empty("w")}, {}
+        circle, point_complex(), {"v": "w"}, {"a": Word((), at="w")}, {}
     )
     disc, _, _ = mapping_cylinder(crush)
     assert homology_strings(disc, max_dim=2) == ["Z", "0", "0"]
@@ -697,7 +697,7 @@ def test_glue_orientation_conflict():
 def test_mapping_torus_needs_self_map():
     circle = circle_complex()
     crush = CellularMap(
-        circle, point_complex(), {"v": "w"}, {"a": Word.empty("w")}, {}
+        circle, point_complex(), {"v": "w"}, {"a": Word((), at="w")}, {}
     )
     with pytest.raises(InvalidComplex):
         mapping_torus(crush)

@@ -245,7 +245,7 @@ def test_equivalence_of_functors_refuted_on_collapse():
     point = GCellComplex(
         trivial_group(), ("w",), (), (), (), trivial_action(["w"])
     )
-    crush = CellularMap(circle, point, {"v": "w"}, {"a": Word.empty("w")}, {})
+    crush = CellularMap(circle, point, {"v": "w"}, {"a": Word((), at="w")}, {})
     eta = induced_transformation(crush)
     assert eta.naturality().is_verified
     v = equivalence_of_functors(eta)

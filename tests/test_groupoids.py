@@ -86,7 +86,7 @@ def test_word_basics():
     assert str(w) == "a b^-1"
     assert w.inverse().letters == (("b", 1), ("a", -1))
     assert not w.is_empty
-    e = Word.empty("u")
+    e = Word((), at="u")
     assert e.is_empty and e.at == "u"
     assert str(e) == "@ u"
     assert e.concat(w).at == "u"
@@ -397,7 +397,7 @@ def test_word_endpoints():
     loop = Word.gen("a").concat(Word.gen("b", -1))
     assert g.word_source(loop) == "p"
     assert g.word_endpoints(loop)[1] == "p"
-    assert g.word_endpoints(Word.empty("q")) == ("q", "q")
+    assert g.word_endpoints(Word((), at="q")) == ("q", "q")
     # the message names the first letter that breaks the walk
     errors = [
         ((("a", 1), ("a", 1)), None, NotComposable,
@@ -577,7 +577,7 @@ def test_check_respects_relations_refuted():
     free = loop_groupoid()
     # sending the commutator relator to a single letter cannot work
     bad = GroupoidMorphism(
-        g, free, {"u": "u"}, {"a": Word.gen("a"), "b": Word.empty("u")}
+        g, free, {"u": "u"}, {"a": Word.gen("a"), "b": Word((), at="u")}
     )
     # image of the relator reduces to nothing here, so it passes
     assert check_respects_relations(bad).is_verified

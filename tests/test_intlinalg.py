@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_homology import dense_homology
-from dense_matrix import copy, det, is_unimodular, mul_vector, transpose
+from dense_matrix import copy, det, from_rows, is_unimodular, mul_vector, transpose
 
 from eqpi1 import intlinalg
 from eqpi1.complexes import describe_homology, homology_of_complex
@@ -37,7 +37,7 @@ matrices = st.integers(0, 4).flatmap(
             st.lists(st.integers(-9, 9), min_size=c, max_size=c),
             min_size=r,
             max_size=r,
-        ).map(IntMatrix.from_rows)
+        ).map(from_rows)
     )
 )
 
@@ -47,7 +47,7 @@ def minor_gcd(a, k):
     g = 0
     for ri in itertools.combinations(range(a.rows), k):
         for ci in itertools.combinations(range(a.cols), k):
-            sub = IntMatrix.from_rows(
+            sub = from_rows(
                 [[a.data[i][j] for j in ci] for i in ri]
             )
             g = math.gcd(g, det(sub))
@@ -55,7 +55,7 @@ def minor_gcd(a, k):
 
 
 def test_matrix_basics():
-    a = IntMatrix.from_rows([[1, 2], [3, 4]])
+    a = from_rows([[1, 2], [3, 4]])
     assert a.rows == 2 and a.cols == 2
     assert a.column(1) == [2, 4]
     assert transpose(a).data == [[1, 3], [2, 4]]
@@ -76,9 +76,9 @@ def test_matrix_shape_errors():
     with pytest.raises(ValueError):
         IntMatrix(2, 2, [[1, 2], [3]])
     with pytest.raises(ValueError):
-        IntMatrix.from_rows([[1, 2]]).mul(IntMatrix.from_rows([[1, 2]]))
+        from_rows([[1, 2]]).mul(from_rows([[1, 2]]))
     with pytest.raises(ValueError):
-        mul_vector(IntMatrix.from_rows([[1, 2]]), [1])
+        mul_vector(from_rows([[1, 2]]), [1])
     with pytest.raises(ValueError):
         IntMatrix(2, 1).hstack(IntMatrix(3, 1))
     with pytest.raises(ValueError):
@@ -95,12 +95,12 @@ def test_from_columns():
 def test_det():
     assert det(IntMatrix(0, 0)) == 1
     assert det(IntMatrix.identity(3)) == 1
-    assert det(IntMatrix.from_rows([[2, 0], [0, 3]])) == 6
-    assert det(IntMatrix.from_rows([[0, 1], [1, 0]])) == -1
-    a = IntMatrix.from_rows([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
+    assert det(from_rows([[2, 0], [0, 3]])) == 6
+    assert det(from_rows([[0, 1], [1, 0]])) == -1
+    a = from_rows([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
     assert det(a) == 624
     assert not is_unimodular(a)
-    assert is_unimodular(IntMatrix.from_rows([[1, 5], [0, -1]]))
+    assert is_unimodular(from_rows([[1, 5], [0, -1]]))
 
 
 @given(matrices)
@@ -110,7 +110,7 @@ def test_det_alternating_in_rows(a):
         return
     swapped = [r[:] for r in a.data]
     swapped[0], swapped[1] = swapped[1], swapped[0]
-    assert det(IntMatrix.from_rows(swapped)) == -det(a)
+    assert det(from_rows(swapped)) == -det(a)
 
 
 def check_smith_certificates(a):
@@ -133,15 +133,15 @@ def check_smith_certificates(a):
 
 def test_smith_fixed_cases():
     s = check_smith_certificates(
-        IntMatrix.from_rows([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
+        from_rows([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
     )
     assert s.diagonal[: s.rank] == [2, 2, 156]
     assert check_smith_certificates(IntMatrix(3, 2)).rank == 0
     assert check_smith_certificates(IntMatrix(0, 4)).rank == 0
     assert check_smith_certificates(IntMatrix.identity(4)).diagonal == [1] * 4
-    s = check_smith_certificates(IntMatrix.from_rows([[6, 10, 15]]))
+    s = check_smith_certificates(from_rows([[6, 10, 15]]))
     assert s.diagonal[:1] == [1]
-    s = check_smith_certificates(IntMatrix.from_rows([[4], [6]]))
+    s = check_smith_certificates(from_rows([[4], [6]]))
     assert s.diagonal[:1] == [2]
 
 
@@ -166,7 +166,7 @@ def test_smith_matches_minor_gcds(a):
 
 
 def test_kernel_basis():
-    a = IntMatrix.from_rows([[1, 2, 3], [2, 4, 6]])
+    a = from_rows([[1, 2, 3], [2, 4, 6]])
     k = kernel_basis(a)
     assert k.cols == 2
     assert a.mul(k).is_zero()
@@ -177,7 +177,7 @@ def test_kernel_basis():
 
 
 def test_solve_columns():
-    a = IntMatrix.from_rows([[2, 0], [0, 3]])
+    a = from_rows([[2, 0], [0, 3]])
     b = IntMatrix.from_columns([[4, 9]])
     y = solve_columns(a, b)
     assert a.mul(y) == b
@@ -203,7 +203,7 @@ def test_solve_columns_round_trip(a, data):
 
 
 def test_in_column_span():
-    a = IntMatrix.from_rows([[2, 0], [0, 2]])
+    a = from_rows([[2, 0], [0, 2]])
     assert in_column_span(a, [4, -2])
     assert not in_column_span(a, [1, 0])
     assert in_column_span(IntMatrix(2, 0), [0, 0])
@@ -223,15 +223,15 @@ def test_abelian_group_str():
 
 
 def test_quotient_invariants():
-    assert quotient_invariants(IntMatrix.from_rows([[2, 0], [0, 3]])) == AbelianGroup(0, (6,))
-    assert quotient_invariants(IntMatrix.from_rows([[2, 0], [0, 2]])) == AbelianGroup(0, (2, 2))
+    assert quotient_invariants(from_rows([[2, 0], [0, 3]])) == AbelianGroup(0, (6,))
+    assert quotient_invariants(from_rows([[2, 0], [0, 2]])) == AbelianGroup(0, (2, 2))
     assert quotient_invariants(IntMatrix(2, 0)) == AbelianGroup(2)
-    assert quotient_invariants(IntMatrix.from_rows([[1], [0]])) == AbelianGroup(1)
-    assert quotient_invariants(IntMatrix.from_rows([[0], [0]])) == AbelianGroup(2)
+    assert quotient_invariants(from_rows([[1], [0]])) == AbelianGroup(1)
+    assert quotient_invariants(from_rows([[0], [0]])) == AbelianGroup(2)
 
 
 def test_free_quotient_data_kills_relators():
-    r = IntMatrix.from_rows([[2, 1], [0, 3], [4, 0]])
+    r = from_rows([[2, 1], [0, 3], [4, 0]])
     s, free_rows = free_quotient_data(r)
     assert len(free_rows) == 3 - s.rank
     # relator columns have zero free coordinates
@@ -243,28 +243,28 @@ def test_free_quotient_data_kills_relators():
 
 def test_induced_free_matrix():
     # source and target Z + Z/2 on generators (x, y) with relator 2y
-    r = IntMatrix.from_rows([[0], [2]])
-    f = IntMatrix.from_rows([[1, 0], [1, 2]])
+    r = from_rows([[0], [2]])
+    f = from_rows([[1, 0], [1, 2]])
     out = induced_free_matrix(r, r, f)
     assert out.rows == 1 and out.cols == 1
     assert abs(out.data[0][0]) == 1
     # a torsion generator cannot map to a free generator
     with pytest.raises(ValueError):
         induced_free_matrix(
-            IntMatrix.from_rows([[2]]), IntMatrix(1, 0), IntMatrix.from_rows([[1]])
+            from_rows([[2]]), IntMatrix(1, 0), from_rows([[1]])
         )
 
 
 def test_abelian_map_surjective():
     none = IntMatrix(1, 0)
-    assert abelian_map_surjective(IntMatrix.from_rows([[1]]), none)
-    assert not abelian_map_surjective(IntMatrix.from_rows([[2]]), none)
+    assert abelian_map_surjective(from_rows([[1]]), none)
+    assert not abelian_map_surjective(from_rows([[2]]), none)
     # doubling hits everything mod 3
     assert abelian_map_surjective(
-        IntMatrix.from_rows([[2]]), IntMatrix.from_rows([[3]])
+        from_rows([[2]]), from_rows([[3]])
     )
     assert not abelian_map_surjective(
-        IntMatrix.from_rows([[2, 0], [0, 1]]), IntMatrix(2, 0)
+        from_rows([[2, 0], [0, 1]]), IntMatrix(2, 0)
     )
 
 
@@ -280,7 +280,7 @@ def test_homology_torus_cw():
 
 
 def test_homology_projective_plane():
-    hs = homology([IntMatrix(1, 1), IntMatrix.from_rows([[2]])])
+    hs = homology([IntMatrix(1, 1), from_rows([[2]])])
     assert [str(h.group) for h in hs] == ["Z", "Z/2", "0"]
     (chain, order) = hs[1].torsion_generators[0]
     assert order == 2 and chain == [1]
@@ -294,7 +294,7 @@ def test_homology_two_spheres_wedge():
 
 def test_homology_rejects_non_complexes():
     with pytest.raises(NotAChainComplex):
-        homology([IntMatrix.from_rows([[1, 0]]), IntMatrix.from_rows([[1], [0]])])
+        homology([from_rows([[1, 0]]), from_rows([[1], [0]])])
     with pytest.raises(NotAChainComplex):
         homology([IntMatrix(1, 2), IntMatrix(3, 1)])
 

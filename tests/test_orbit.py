@@ -9,6 +9,7 @@ from eqpi1.groups import (
     left_coset,
     left_cosets,
     symmetric_group,
+    trivial_group,
     validate_family,
 )
 from eqpi1.orbit import (
@@ -204,3 +205,57 @@ def test_index_matches_scans():
             == left_coset(g, g.identity, cat.subgroup(kid)).representative
         )
         assert cat.identity(cat.subgroup(kid)) == ident
+
+
+def closure_of_identities(cat):
+    """Every morphism reached from an identity by composing generating
+    morphisms on the outside."""
+    by_source = {}
+    for gamma in cat.generating_morphisms:
+        by_source.setdefault(gamma.source, []).append(gamma)
+    seen = {cat.identity(h) for h in cat.objects}
+    frontier = list(seen)
+    while frontier:
+        m = frontier.pop()
+        for gamma in by_source.get(m.target, ()):
+            c = cat.compose(gamma, m)
+            if c not in seen:
+                seen.add(c)
+                frontier.append(c)
+    return seen
+
+
+def order_at_most_4(g):
+    return validate_family(g, [s for s in enumerate_subgroups(g) if s.order <= 4])
+
+
+@pytest.mark.parametrize(
+    "group, family",
+    [
+        (trivial_group(), family_all),
+        *((cyclic_group(n), family_all) for n in range(2, 7)),
+        *((symmetric_group(n), family_all) for n in (3, 4, 5)),
+        (symmetric_group(4), family_trivial),
+        (symmetric_group(4), order_at_most_4),
+    ],
+    ids=["1", "c2", "c3", "c4", "c5", "c6", "s3", "s4", "s5", "s4-trivial",
+         "s4-order-4"],
+)
+def test_generating_morphisms_generate(group, family):
+    cat = OrbitCategory(group, family(group))
+    gens = cat.generating_morphisms
+    assert cat.generating_morphisms is gens
+    order = {m: i for i, m in enumerate(cat.morphisms())}
+    assert [order[m] for m in gens] == sorted(order[m] for m in gens)
+    assert closure_of_identities(cat) == set(cat.morphisms())
+
+
+def test_generating_pairs_are_few_on_s4():
+    # the law check compares one pair per generating morphism and morphism
+    # into its source, instead of every composable pair
+    g = symmetric_group(4)
+    cat = OrbitCategory(g, family_all(g))
+    pairs = sum(len(cat.into[m.source]) for m in cat.morphisms())
+    gamma_pairs = sum(len(cat.into[m.source]) for m in cat.generating_morphisms)
+    assert (gamma_pairs, pairs) == (3328, 16830)
+    assert 4 * gamma_pairs < pairs
