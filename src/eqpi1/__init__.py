@@ -46,6 +46,7 @@ from .complexes import (
     Face,
     GCellComplex,
     Solid,
+    describe_homology,
     fixed_subcomplex,
     fundamental_groupoid,
     glue,

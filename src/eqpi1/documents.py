@@ -45,7 +45,13 @@ from .groups import (
     validate_family,
 )
 from .groupoids import Gen, GroupoidMorphism, PresentedGroupoid, Word
-from .functors import MissingArrow, MissingValue, OrbFunctor, make_functor
+from .functors import (
+    MissingArrow,
+    MissingValue,
+    OrbFunctor,
+    make_functor,
+    name_first,
+)
 from .orbit import OrbitCategory, OrbitMorphism
 
 
@@ -668,7 +674,7 @@ def _complete_action(group: FiniteGroup, given: dict, cells) -> dict:
     if missing:
         raise SchemaViolation(
             "action statements do not generate the group; missing elements "
-            + ", ".join(str(g) for g in missing)
+            + name_first(missing)
         )
     return known
 

@@ -48,8 +48,18 @@ class MissingArrow(ValueError):
     pass
 
 
-# a MissingArrow message names at most this many morphisms
-MISSING_ARROWS_NAMED = 5
+# a refusal that lists what is missing names at most this many items
+ITEMS_NAMED = 5
+
+
+def name_first(items) -> str:
+    """The first ITEMS_NAMED items, comma-separated, then
+    ' ... and N more' when there are N others."""
+    items = [str(x) for x in items]
+    more = len(items) - ITEMS_NAMED
+    return ", ".join(items[:ITEMS_NAMED]) + (
+        f" ... and {more} more" if more > 0 else ""
+    )
 
 
 class NotEquivariant(ValueError):
@@ -86,7 +96,7 @@ def make_functor(category: OrbitCategory, values: dict, arrows: dict) -> OrbFunc
     (first definition wins; disagreements surface in
     validate_functoriality).  Raises MissingValue or MissingArrow when the
     data cannot be completed; MissingArrow names the first
-    MISSING_ARROWS_NAMED underivable morphisms and counts the rest.
+    ITEMS_NAMED underivable morphisms and counts the rest.
     """
     vals = dict(values)
     for hid in category.objects:
@@ -113,13 +123,11 @@ def make_functor(category: OrbitCategory, values: dict, arrows: dict) -> OrbFunc
                     continue
                 done[comp] = compose_morphisms(done[alpha], done[beta])
                 changed = True
-    missing = [str(m) for m in category.morphisms() if m not in done]
+    missing = [m for m in category.morphisms() if m not in done]
     if missing:
-        more = len(missing) - MISSING_ARROWS_NAMED
         raise MissingArrow(
             "arrows not derivable from the given generators: "
-            + ", ".join(missing[:MISSING_ARROWS_NAMED])
-            + (f" ... and {more} more" if more > 0 else "")
+            + name_first(missing)
         )
     return OrbFunctor(category, vals, done)
 
@@ -153,7 +161,11 @@ def _same_as_composite(
     direct: GroupoidMorphism, first: GroupoidMorphism, second: GroupoidMorphism
 ) -> Verdict:
     """Is direct the same arrow as second after first?  A composite word is
-    built only for a generator whose reduced image letters differ."""
+    built only for a generator whose reduced image letters differ.  The
+    syntactic level covers equal reduced letters, and also a difference
+    loop that matches a relator up to rotation or whose spanning-tree
+    rewrite is empty (groupoids.words_equal_verdict); only
+    _equal_as_free tells free equality apart."""
     object_map = {x: second.object_map[y] for x, y in first.object_map.items()}
     if direct.object_map != object_map:
         return Verdict.refuted(

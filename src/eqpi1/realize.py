@@ -3,7 +3,9 @@
 The construction runs in stages:
 
   1. the 0-skeleton: classes of pairs (coset of H, object of value(H))
-     under the relations generated by the orbit morphisms;
+     under the relations generated by the orbit morphisms.  The relation
+     is G-invariant, so a morphism whose pairs at the identity coset are
+     already joined is skipped, and any other is joined at every coset;
   2. a diagnostic comparing value(H) objects with H-fixed classes;
   3. one edge and one relator face per cell of each coset copy of each
      value groupoid, attached to the classes;
@@ -72,6 +74,18 @@ class CoendResult:
 
 
 def zero_skeleton_coend(f: OrbFunctor) -> CoendResult:
+    """Classes of pairs (coset of H, object of value(H)) under the relation
+    joining (m(rH), x) with (rH, value(m) x) for each orbit morphism
+    m: G/H -> G/K, each coset rH and each object x of value(K).
+
+    The relation is G-invariant: m is a G-map, m(rH) = r m(H), so the pairs
+    m adds at rH are the r-translates of those it adds at the identity
+    coset.  Each morphism is either unioned at every coset, which adds a
+    whole orbit of pairs, or skipped, so the partition stays G-invariant
+    throughout.  A morphism whose identity-coset pairs are already joined
+    therefore has every translate joined too and is skipped.  The classes
+    are those of the full relation, whatever laws f satisfies; they are
+    ordered by their least member (subgroup id, coset rep, object index)."""
     cat = f.category
     group = cat.group
     merge = UnionFind()
@@ -84,9 +98,18 @@ def zero_skeleton_coend(f: OrbFunctor) -> CoendResult:
                 merge.add((hid, r, x))
     for m in cat.morphisms():
         arrow = f.arrows[m]  # value(target) -> value(source)
+        objects = f.values[m.target].objects
+        base = cat.coset_rep[m.source][group.identity]
+        ir = cat.apply(m, base)
+        if all(
+            merge.find((m.target, ir, x))
+            == merge.find((m.source, base, arrow.object_map[x]))
+            for x in objects
+        ):
+            continue
         for r in cat.transversal[m.source]:
             ir = cat.apply(m, r)
-            for x in f.values[m.target].objects:
+            for x in objects:
                 merge.union(
                     (m.target, ir, x), (m.source, r, arrow.object_map[x])
                 )
@@ -230,6 +253,8 @@ def _build(f: OrbFunctor, max_dim: int, coend: CoendResult | None):
                 nonrigid.append((str(m), k))
             else:
                 matches[k] = match
+        if coend is not None and not down.generators and not matches:
+            continue  # no vertical edge, square or solid at any coset
         for r in cat.transversal[hid]:
             ir = cat.apply(m, r)
             if coend is None:

@@ -2,8 +2,12 @@
 
 Checks that hinge on the word problem cannot always decide; every answer is
 therefore Verified, Refuted (with a witness), or Undecided (with a reason),
-and carries the level of evidence that produced it: syntactic (reduced-word
-equality), abelianized (exponent-sum argument), or undecided.
+and carries the level of evidence that produced it: syntactic, abelianized
+(exponent-sum argument), or undecided.  Syntactic evidence is one of
+reduced-word equality, a loop that matches a relator up to rotation, or a
+loop whose rewrite over the spanning tree of its component is empty; so a
+syntactic verdict does not by itself say that two words are equal in the
+free groupoid.
 """
 
 from __future__ import annotations
@@ -39,10 +43,6 @@ class Verdict:
     @staticmethod
     def undecided(reason: str) -> "Verdict":
         return Verdict(UNDECIDED, LEVEL_UNDECIDED, reason=reason)
-
-    @property
-    def is_verified(self) -> bool:
-        return self.status == VERIFIED
 
     @property
     def is_refuted(self) -> bool:

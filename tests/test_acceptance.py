@@ -32,6 +32,7 @@ from eqpi1.realize import (
     verify_fundamental_functor,
     verify_step2,
 )
+from eqpi1.verdicts import VERIFIED
 
 
 def data_file(name):
@@ -64,7 +65,7 @@ def test_realized_torus_has_top_homology_rank_three(capsys):
 def test_torus_fixed_set_functor_structure(torus_doc):
     x = torus_doc.complexes["torus"]
     fun = induced_functor_from_complex(x)
-    assert validate_functoriality(fun).is_verified
+    assert validate_functoriality(fun).status == VERIFIED
 
     free_level = fun.values[0]
     comps = free_level.components()
@@ -117,9 +118,9 @@ def test_single_object_realizations_recover_classifying_spaces():
     for name, g in cases.items():
         fun = make_functor(cat, {0: g}, {})
         res = build_space(fun)
-        assert validate_complex(res.space).is_verified
+        assert validate_complex(res.space).status == VERIFIED
         ver = verify_fundamental_functor(fun)
-        assert ver.combined.is_verified
+        assert ver.combined.status == VERIFIED
         pre = presentation_complex(g)
         assert homology_strings(pre, max_dim=2) == expected[name]
 
@@ -127,7 +128,7 @@ def test_single_object_realizations_recover_classifying_spaces():
 def test_identity_mapping_torus_of_torus_is_three_torus():
     x = presentation_complex(torus_groupoid())
     t3 = mapping_torus(identity_cellular_map(x))
-    assert validate_complex(t3).is_verified
+    assert validate_complex(t3).status == VERIFIED
     assert t3.cell_counts() == (1, 3, 3, 1)
     assert homology_strings(t3) == ["Z", "Z^3", "Z^3", "Z"]
 

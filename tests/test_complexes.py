@@ -27,7 +27,7 @@ from eqpi1.complexes import (
 from eqpi1.groupoids import Gen, GroupoidMorphism, PresentedGroupoid, Word
 from eqpi1.groups import Subgroup, cyclic_group, trivial_group
 from eqpi1.intlinalg import NotAChainComplex
-from eqpi1.verdicts import LEVEL_SYNTACTIC
+from eqpi1.verdicts import LEVEL_SYNTACTIC, VERIFIED
 
 TORUS_RELATOR = (("a", 1), ("b", 1), ("a", -1), ("b", -1))
 
@@ -368,7 +368,7 @@ def test_fixed_subcomplex():
             },
         },
     )
-    assert validate_complex(x).is_verified
+    assert validate_complex(x).status == VERIFIED
     fixed = fixed_subcomplex(x, Subgroup((0, 1)))
     assert fixed.vertices == ("v1", "v2")
     assert [e.label for e in fixed.edges] == ["l1", "l2"]
@@ -390,7 +390,7 @@ def test_fixed_subcomplex_must_close():
             1: {"v": ("v", 1), "a": ("b", 1), "b": ("a", 1), "c": ("c", 1)},
         },
     )
-    assert validate_complex(x).is_verified
+    assert validate_complex(x).status == VERIFIED
     with pytest.raises(InvalidComplex):
         fixed_subcomplex(x, Subgroup((0, 1)))
 
@@ -398,7 +398,7 @@ def test_fixed_subcomplex_must_close():
 def test_cellular_map_validate():
     x = presentation_complex(torus_groupoid())
     ident = identity_cellular_map(x)
-    assert ident.validate().is_verified
+    assert ident.validate().status == VERIFIED
     assert ident.push_word(Word(TORUS_RELATOR, at="u")).letters == TORUS_RELATOR
 
     skeleton_only = CellularMap(
@@ -523,7 +523,7 @@ def test_realize_morphism_flip():
         g, g, {"u": "u"}, {"a": Word.gen("a", -1), "b": Word.gen("b")}
     )
     f = realize_morphism(flip)
-    assert f.validate().is_verified
+    assert f.validate().status == VERIFIED
     assert f.face_map == {"rel0": ("rel0", -1)}
 
 
@@ -557,11 +557,11 @@ def test_realize_morphism_nonrigid():
 def test_mapping_cylinder_circle():
     circle = circle_complex()
     cyl, src_end, tgt_end = mapping_cylinder(identity_cellular_map(circle))
-    assert validate_complex(cyl).is_verified
+    assert validate_complex(cyl).status == VERIFIED
     assert cyl.cell_counts() == (2, 3, 1, 0)
     assert homology_strings(cyl, max_dim=2) == ["Z", "Z", "0"]
-    assert src_end.validate().is_verified
-    assert tgt_end.validate().is_verified
+    assert src_end.validate().status == VERIFIED
+    assert tgt_end.validate().status == VERIFIED
     assert src_end.vertex_map == {"v": "top.v"}
 
     crush = CellularMap(
@@ -592,14 +592,14 @@ def test_mapping_cylinder_guards():
 
 def test_mapping_torus_circle():
     torus = mapping_torus(identity_cellular_map(circle_complex()))
-    assert validate_complex(torus).is_verified
+    assert validate_complex(torus).status == VERIFIED
     assert homology_strings(torus, max_dim=2) == ["Z", "Z^2", "Z"]
 
 
 def test_mapping_torus_of_torus_identity():
     x = presentation_complex(torus_groupoid())
     t3 = mapping_torus(identity_cellular_map(x))
-    assert validate_complex(t3).is_verified
+    assert validate_complex(t3).status == VERIFIED
     assert t3.cell_counts() == (1, 3, 3, 1)
     assert homology_strings(t3) == ["Z", "Z^3", "Z^3", "Z"]
 
@@ -610,14 +610,14 @@ def test_mapping_torus_of_torus_flip():
         g, g, {"u": "u"}, {"a": Word.gen("a", -1), "b": Word.gen("b")}
     )
     m = mapping_torus(realize_morphism(flip))
-    assert validate_complex(m).is_verified
+    assert validate_complex(m).status == VERIFIED
     assert homology_strings(m) == ["Z", "Z^2 + Z/2", "Z + Z/2", "0"]
 
 
 def test_glue_wedge_of_circles():
     c = circle_complex()
     wedge = glue([c, c], [("c0.v", "c1.v")])
-    assert validate_complex(wedge).is_verified
+    assert validate_complex(wedge).status == VERIFIED
     assert wedge.cell_counts() == (1, 2, 0, 0)
     assert homology_strings(wedge, max_dim=1) == ["Z", "Z^2"]
 
@@ -651,7 +651,7 @@ def test_glue_closes_under_action():
     # the swapped partner edge is identified automatically
     assert glued.cell_counts() == (2, 2, 0, 0)
     assert {e.label for e in glued.edges} == {"c0.a", "c0.b"}
-    assert validate_complex(glued).is_verified
+    assert validate_complex(glued).status == VERIFIED
 
 
 def test_glue_conflicts():
@@ -689,7 +689,7 @@ def test_glue_orientation_conflict():
             },
         },
     )
-    assert validate_complex(x).is_verified
+    assert validate_complex(x).status == VERIFIED
     with pytest.raises(IncompatibleIdentification):
         glue([x], [("a", "c")])
 

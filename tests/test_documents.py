@@ -20,6 +20,7 @@ from eqpi1.documents import (
 )
 from eqpi1.functors import induced_functor_from_complex
 from eqpi1.groupoids import Word
+from eqpi1.verdicts import VERIFIED
 
 Z2_HEADER = "group table { row 0 1  row 1 0 }\n"
 Z4_HEADER = "group table { row 0 1 2 3  row 1 2 3 0  row 2 3 0 1  row 3 0 1 2 }\n"
@@ -302,7 +303,7 @@ def test_action_completion_by_composition():
     x = doc.complexes["x"]
     assert x.action[2]["a"] == ("c", 1)
     assert x.action[3]["a"] == ("d", 1)
-    assert validate_complex(x).is_verified
+    assert validate_complex(x).status == VERIFIED
 
 
 def test_action_completion_must_generate():
@@ -348,7 +349,7 @@ def test_round_trip_solids_and_signs():
         + "}\n"
     )
     doc = parse_document(text)
-    assert validate_complex(doc.complexes["sol"]).is_verified
+    assert validate_complex(doc.complexes["sol"]).status == VERIFIED
     assert documents_equal(doc, parse_document(render_document(doc)))
 
     flipped = (
@@ -362,7 +363,7 @@ def test_round_trip_solids_and_signs():
     doc = parse_document(flipped)
     x = doc.complexes["m"]
     assert x.action[1]["a"] == ("b", -1)
-    assert validate_complex(x).is_verified
+    assert validate_complex(x).status == VERIFIED
     rendered = render_document(doc)
     assert "a -> b^-1" in rendered
     assert documents_equal(doc, parse_document(rendered))

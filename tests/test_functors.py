@@ -39,6 +39,7 @@ from eqpi1.groups import (
     trivial_group,
 )
 from eqpi1.orbit import OrbitCategory
+from eqpi1.verdicts import VERIFIED
 
 
 def circle_groupoid():
@@ -73,7 +74,7 @@ def test_make_functor_fills_identities_and_validates():
         {flip: flip_on(circ), proj: GroupoidMorphism(point, circ, {"u": "u"}, {})},
     )
     assert set(f.arrows) == set(cat.morphisms())
-    assert validate_functoriality(f).is_verified
+    assert validate_functoriality(f).status == VERIFIED
     assert f.value(0) is circ
     assert f.value(cat.subgroups[1]) is point
     with pytest.raises(MissingValue):
@@ -109,7 +110,7 @@ def test_make_functor_empty_values_need_no_arrows():
     )
     proj = find_morphism(cat, "H0->H1:g0")
     assert f.arrows[proj].source is EMPTY_GROUPOID
-    assert validate_functoriality(f).is_verified
+    assert validate_functoriality(f).status == VERIFIED
 
 
 def test_make_functor_derives_composites():
@@ -132,7 +133,7 @@ def test_make_functor_derives_composites():
     # the quarter turn composed with itself gives the half turn
     half = f.arrows[find_morphism(cat, "H0->H0:g2")]
     assert half.generator_map["x"].letters == (("x", 1),)
-    assert validate_functoriality(f).is_verified
+    assert validate_functoriality(f).status == VERIFIED
 
 
 def test_declared_identity_violation_is_caught():
@@ -194,9 +195,9 @@ def reflection_pair_complex():
 def test_induced_transformation_identity(torus_doc):
     x = next(iter(torus_doc.complexes.values()))
     eta = induced_transformation(identity_cellular_map(x))
-    assert eta.naturality().is_verified
+    assert eta.naturality().status == VERIFIED
     v = equivalence_of_functors(eta)
-    assert v.is_verified
+    assert v.status == VERIFIED
 
 
 def test_induced_transformation_swap():
@@ -208,8 +209,8 @@ def test_induced_transformation_swap():
         {},
     )
     eta = induced_transformation(swap)
-    assert eta.naturality().is_verified
-    assert equivalence_of_functors(eta).is_verified
+    assert eta.naturality().status == VERIFIED
+    assert equivalence_of_functors(eta).status == VERIFIED
     images = eta.components[0].generator_map
     assert images["a"].letters == (("b", 1),)
 
@@ -247,7 +248,7 @@ def test_equivalence_of_functors_refuted_on_collapse():
     )
     crush = CellularMap(circle, point, {"v": "w"}, {"a": Word((), at="w")}, {})
     eta = induced_transformation(crush)
-    assert eta.naturality().is_verified
+    assert eta.naturality().status == VERIFIED
     v = equivalence_of_functors(eta)
     assert v.is_refuted
     assert v.witness["component"] == 0

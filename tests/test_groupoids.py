@@ -40,6 +40,7 @@ from eqpi1.groupoids import (
     words_equal_verdict,
 )
 from eqpi1.groupoids import _loop_vanishes
+from eqpi1.verdicts import VERIFIED
 
 letters_strategy = st.lists(
     st.tuples(st.sampled_from("abc"), st.sampled_from((1, -1))),
@@ -484,16 +485,16 @@ def test_loop_vanishes_ladder():
     g = torus_groupoid()
     # free reduction decides
     v = _loop_vanishes(g, Word((("a", 1), ("a", -1))))
-    assert v.is_verified and v.level == "syntactic"
+    assert v.status == VERIFIED and v.level == "syntactic"
     # relator match decides, up to rotation and inversion
     v = _loop_vanishes(g, Word(TORUS_RELATOR))
-    assert v.is_verified and v.level == "syntactic"
+    assert v.status == VERIFIED and v.level == "syntactic"
     v = _loop_vanishes(g, Word(invert_letters(TORUS_RELATOR)[1:] + invert_letters(TORUS_RELATOR)[:1]))
-    assert v.is_verified and v.level == "syntactic"
+    assert v.status == VERIFIED and v.level == "syntactic"
     # certified abelian decides squares of relators
     double = TORUS_RELATOR + TORUS_RELATOR
     v = _loop_vanishes(g, Word(double))
-    assert v.is_verified and v.level == "abelianized"
+    assert v.status == VERIFIED and v.level == "abelianized"
     # nonzero exponent vector refutes
     v = _loop_vanishes(g, Word.gen("a"))
     assert v.is_refuted and v.level == "abelianized"
@@ -506,11 +507,11 @@ def test_loop_vanishes_ladder():
 
 def test_words_equal_verdict():
     g = torus_groupoid()
-    assert words_equal_verdict(g, Word.gen("a"), Word.gen("a")).is_verified
+    assert words_equal_verdict(g, Word.gen("a"), Word.gen("a")).status == VERIFIED
     ab = Word.gen("a").concat(Word.gen("b"))
     ba = Word.gen("b").concat(Word.gen("a"))
     v = words_equal_verdict(g, ab, ba)
-    assert v.is_verified and v.level == "syntactic"
+    assert v.status == VERIFIED and v.level == "syntactic"
     v = words_equal_verdict(g, Word.gen("a"), Word.gen("b"))
     assert v.is_refuted
     pair = circle_pair()
@@ -546,7 +547,7 @@ def test_morphism_apply():
     assert flip.apply(w).letters == (("a", -1), ("a", 1))
     reduced = g.free_reduce(flip.apply(w))
     assert reduced.is_empty and reduced.at == "u"
-    assert check_respects_relations(flip).is_verified
+    assert check_respects_relations(flip).status == VERIFIED
 
 
 def test_identity_empty_compose():
@@ -580,13 +581,13 @@ def test_check_respects_relations_refuted():
         g, free, {"u": "u"}, {"a": Word.gen("a"), "b": Word((), at="u")}
     )
     # image of the relator reduces to nothing here, so it passes
-    assert check_respects_relations(bad).is_verified
+    assert check_respects_relations(bad).status == VERIFIED
     worse = GroupoidMorphism(
         g, loop_groupoid(), {"u": "u"},
         {"a": Word.gen("a"), "b": Word.gen("a")},
     )
     # a b a^-1 b^-1 maps to a a a^-1 a^-1 which reduces away
-    assert check_respects_relations(worse).is_verified
+    assert check_respects_relations(worse).status == VERIFIED
     z2 = PresentedGroupoid(
         ("u",), (Gen("x", "u", "u"),), (Word((("x", 1), ("x", 1)), at="u"),)
     )
@@ -631,10 +632,10 @@ def test_isotropy_image_map_across_objects():
 def test_equivalence_report_ladder():
     g = torus_groupoid()
     assert equivalence_report(identity_morphism(g)).level == "abelianized"
-    assert equivalence_report(identity_morphism(g)).is_verified
+    assert equivalence_report(identity_morphism(g)).status == VERIFIED
     free = loop_groupoid()
     v = equivalence_report(identity_morphism(free))
-    assert v.is_verified and v.level == "syntactic"
+    assert v.status == VERIFIED and v.level == "syntactic"
     # doubling on a free rank one group is not recognized either way
     z = PresentedGroupoid(("u",), (Gen("x", "u", "u"),), ())
     double = GroupoidMorphism(
@@ -676,7 +677,7 @@ def test_equivalence_report_components():
 
 def test_strict_isomorphism_report():
     g = torus_groupoid()
-    assert strict_isomorphism_report(identity_morphism(g)).is_verified
+    assert strict_isomorphism_report(identity_morphism(g)).status == VERIFIED
     pair = circle_pair()
     dot = PresentedGroupoid(("w",), (), ())
     v = strict_isomorphism_report(
@@ -712,6 +713,6 @@ def test_verdict_combinators():
     assert combine([ok, weak]).level == "abelianized"
     assert combine([ok, bad, dunno]).is_refuted
     assert combine([ok, dunno]).is_undecided
-    assert combine([]).is_verified
+    assert combine([]).status == VERIFIED
     assert str(bad) == "refuted[syntactic] witness={'x': 1}"
     assert "reason=why" in str(dunno)

@@ -45,6 +45,7 @@ from eqpi1.groupoids import (
 from eqpi1.groups import family_all, symmetric_group, trivial_group
 from eqpi1.orbit import OrbitCategory
 from eqpi1.realize import build_space
+from eqpi1.verdicts import VERIFIED
 
 
 def s4_swapped_loops() -> GCellComplex:
@@ -161,7 +162,7 @@ def corruptible(functors):
 def test_induced_functors_verify_like_the_oracle(functors, corruptible):
     assert len(functors) == 8
     for f in functors.values():
-        assert same_verdict(f).is_verified
+        assert same_verdict(f).status == VERIFIED
     assert len(functors["s4-point"].category.morphisms()) == 714
     assert sorted(set(functors) - set(corruptible)) == ["s4-point"]
 

@@ -1,14 +1,19 @@
-"""Every private helper in src/eqpi1 has a caller.
+"""Every helper in src/eqpi1 has a caller.
 
 A private helper is a function or method whose own name starts with a
-single underscore, or a method of a class whose name does.  It counts as
-used when its name appears (as a name, an attribute or an import)
-somewhere in src/eqpi1 outside its own body.  A helper left behind when a
-caller switches to another copy fails this test.
+single underscore, or a method of a class whose name does.  Any other
+function or method, dunders aside, is public.  A function counts as used
+when its name appears (as a name, an attribute or an import) somewhere
+in src/eqpi1 outside its own body.  A private helper left behind when a
+caller switches to another copy fails this test, and so does a public
+function or method that nothing in the package calls and that
+eqpi1/__init__.py does not export.
 """
 
 import ast
 import os
+
+import eqpi1
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src", "eqpi1")
 
@@ -24,18 +29,22 @@ def _modules():
                 yield name, ast.parse(fh.read(), filename=name)
 
 
-def _scan(tree, module, helpers, refs):
-    """Record private helpers as (qualified name, node) and every name
-    reference as (name, ids of the enclosing function nodes)."""
+def _scan(tree, module, helpers, public, refs):
+    """Record private helpers and public functions and methods as
+    (qualified name, node), and every name reference as (name, ids of the
+    enclosing function nodes)."""
 
     def visit(node, enclosing, owner):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             in_private_class = owner is not None and _private(owner)
+            name = f"{owner}.{node.name}" if owner else node.name
+            qual = f"{module}:{name}"
             if _private(node.name) or (
                 in_private_class and not node.name.startswith("__")
             ):
-                qual = f"{owner}.{node.name}" if owner else node.name
-                helpers.append((f"{module}:{qual}", node))
+                helpers.append((qual, node))
+            elif not node.name.startswith("__"):
+                public.append((qual, node))
             enclosing = enclosing | {id(node)}
             owner = None
         elif isinstance(node, ast.ClassDef):
@@ -52,17 +61,38 @@ def _scan(tree, module, helpers, refs):
     visit(tree, frozenset(), None)
 
 
-def test_every_private_helper_has_a_caller():
-    helpers, refs = [], []
-    for module, tree in _modules():
-        _scan(tree, module, helpers, refs)
-    assert helpers  # the scan sees the package
-    orphans = [
+def _orphans(functions, refs):
+    return [
         qual
-        for qual, node in helpers
+        for qual, node in functions
         if not any(
             name == node.name and id(node) not in enclosing
             for name, enclosing in refs
         )
     ]
-    assert orphans == []
+
+
+def _package():
+    helpers, public, refs = [], [], []
+    for module, tree in _modules():
+        _scan(tree, module, helpers, public, refs)
+    return helpers, public, refs
+
+
+def test_every_private_helper_has_a_caller():
+    helpers, _, refs = _package()
+    assert helpers  # the scan sees the package
+    assert _orphans(helpers, refs) == []
+
+
+def test_every_unexported_public_function_has_a_caller():
+    _, public, refs = _package()
+    exported = set(eqpi1.__all__)
+    assert public and "build_space" in exported  # the scan sees the package
+    # a method is never exported: its qualified name has its class in it
+    unexported = [
+        (qual, node)
+        for qual, node in public
+        if qual.split(":")[1] not in exported
+    ]
+    assert _orphans(unexported, refs) == []

@@ -28,6 +28,7 @@ from eqpi1.realize import (
     verify_step2,
     zero_skeleton_coend,
 )
+from eqpi1.verdicts import VERIFIED
 
 
 def homology_strings(x, max_dim=3):
@@ -142,7 +143,7 @@ def test_build_space_shipped_torus(torus_doc):
     r = build_space(f)
     assert r.space.cell_counts() == (1, 6, 16, 4)
     assert r.nonrigid == ()
-    assert validate_complex(r.space).is_verified
+    assert validate_complex(r.space).status == VERIFIED
     assert homology_strings(r.space) == ["Z", "Z^2", "Z^11", "Z^3"]
     assert r.step2[0].status == STEP2_BIJECTION
     assert r.step2[1].status == STEP2_QUOTIENT
@@ -160,7 +161,7 @@ def test_homotopy_coend_shipped_torus(torus_doc):
     f = torus_functor(torus_doc)
     w = build_homotopy_coend(f)
     assert w.cell_counts() == (4, 16, 16, 4)
-    assert validate_complex(w).is_verified
+    assert validate_complex(w).status == VERIFIED
     assert homology_strings(w) == ["Z", "Z^9", "Z^11", "Z^3"]
 
 
@@ -185,14 +186,14 @@ def test_degree_three_homology_agrees(source, h3, torus_doc, bench_inputs):
     for f in cross_check_functors(source, torus_doc, bench_inputs):
         x = build_space(f).space
         w = build_homotopy_coend(f)
-        assert validate_complex(x).is_verified
-        assert validate_complex(w).is_verified
+        assert validate_complex(x).status == VERIFIED
+        assert validate_complex(w).status == VERIFIED
         assert homology_strings(x)[3] == homology_strings(w)[3] == h3
 
 
 def test_trivial_group_torus_realization():
     f = trivial_torus_functor()
-    assert validate_functoriality(f).is_verified
+    assert validate_functoriality(f).status == VERIFIED
     r = build_space(f)
     assert r.space.cell_counts() == (1, 2, 3, 1)
     assert homology_strings(r.space) == ["Z", "Z^2", "Z^3", "Z"]
@@ -203,12 +204,12 @@ def test_trivial_group_torus_realization():
 
 def test_nonrigid_functor_skips_solids():
     f = nonrigid_functor()
-    assert validate_functoriality(f).is_verified
+    assert validate_functoriality(f).status == VERIFIED
     r = build_space(f)
     assert r.nonrigid == (("H0->H1:g0", 0),)
     assert len(r.space.solids) == 5
     assert not any(s.label.startswith("s2.") for s in r.space.solids)
-    assert validate_complex(r.space).is_verified
+    assert validate_complex(r.space).status == VERIFIED
     # solid detection only runs when 3-cells are requested
     assert build_space(f, max_dim=2).nonrigid == ()
 
@@ -219,7 +220,7 @@ def test_honest_realization_valid(torus_doc):
     r = build_space(f)
     assert r.space.cell_counts() == (2, 10, 26, 8)
     assert r.nonrigid == ()
-    assert validate_complex(r.space).is_verified
+    assert validate_complex(r.space).status == VERIFIED
     assert homology_strings(r.space) == ["Z", "Z^2", "Z^14", "Z^3"]
     assert build_homotopy_coend(f).cell_counts() == (6, 24, 26, 8)
 
@@ -228,7 +229,7 @@ def test_comparison_transformation_natural(torus_doc):
     f = torus_functor(torus_doc)
     r = build_space(f)
     eta = comparison_transformation(f, r)
-    assert eta.naturality().is_verified
+    assert eta.naturality().status == VERIFIED
     comp = eta.components[0]
     assert comp.object_map == {"u": "x0"}
     assert comp.generator_map["a"].letters == (("o0.g0.a", 1),)
@@ -237,8 +238,8 @@ def test_comparison_transformation_natural(torus_doc):
 def test_verify_fundamental_functor_compressed(torus_doc):
     f = torus_functor(torus_doc)
     ver = verify_fundamental_functor(f)
-    assert ver.naturality.is_verified
-    assert ver.equivalence[0].is_verified
+    assert ver.naturality.status == VERIFIED
+    assert ver.equivalence[0].status == VERIFIED
     assert ver.equivalence[0].level == "abelianized"
     assert ver.equivalence[1].is_refuted
     assert ver.equivalence[1].witness == {"components_identified": ("v1", "v2")}
@@ -251,22 +252,22 @@ def test_verify_fundamental_functor_honest(torus_doc):
     x = next(iter(torus_doc.complexes.values()))
     f = induced_functor_from_complex(x)
     ver = verify_fundamental_functor(f)
-    assert ver.naturality.is_verified
-    assert ver.equivalence[0].is_verified
-    assert ver.equivalence[1].is_verified
-    assert ver.combined.is_verified
+    assert ver.naturality.status == VERIFIED
+    assert ver.equivalence[0].status == VERIFIED
+    assert ver.equivalence[1].status == VERIFIED
+    assert ver.combined.status == VERIFIED
     assert ver.combined.level == "abelianized"
 
 
 def test_verify_fundamental_functor_trivial_torus():
     f = trivial_torus_functor()
     ver = verify_fundamental_functor(f)
-    assert ver.combined.is_verified
+    assert ver.combined.status == VERIFIED
 
 
 def test_deficit_functor_still_realizes():
     f = deficit_functor()
     r = build_space(f)
-    assert validate_complex(r.space).is_verified
+    assert validate_complex(r.space).status == VERIFIED
     assert r.space.cell_counts() == (2, 0, 0, 0)
     assert homology_strings(r.space) == ["Z^2", "0", "0", "0"]
