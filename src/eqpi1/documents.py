@@ -142,6 +142,11 @@ class InputDocument:
 # before it is expanded, so a huge exponent is refused, not allocated.
 MAX_WORD_LETTERS = 100_000
 
+# The largest group a document may declare.  A table is refused at its
+# next row past it, and a permutation group's closure stops once it holds
+# more elements, so neither builds a table of that size.
+MAX_GROUP_ORDER = 1_000
+
 
 def _choices(words) -> str:
     quoted = [f"'{w}'" for w in words]
@@ -341,9 +346,15 @@ def parse_path(path) -> InputDocument:
 def _parse_group(p: _Parser) -> FiniteGroup:
     def table(t):
         rows = []
-        p.statements({"row": lambda _: rows.append(
-            tuple(p.items("INT", p.expect_int, "entries after 'row'"))
-        )})
+
+        def row(_):
+            if len(rows) == MAX_GROUP_ORDER:
+                raise SchemaViolation(
+                    f"bad group table: more than {MAX_GROUP_ORDER} rows"
+                )
+            rows.append(tuple(p.items("INT", p.expect_int, "entries after 'row'")))
+
+        p.statements({"row": row})
         try:
             return group_from_table(tuple(rows))
         except ValueError as e:
@@ -367,7 +378,10 @@ def _parse_group(p: _Parser) -> FiniteGroup:
                 raise SchemaViolation(f"bad permutation: {e}") from e
 
         p.statements({"perm": perm})
-        return group_from_permutations(perms, degree)
+        try:
+            return group_from_permutations(perms, degree, max_order=MAX_GROUP_ORDER)
+        except ValueError as e:
+            raise SchemaViolation(f"bad permutation group: {e}") from e
 
     return p.dispatch({"table": table, "permutations": permutations})
 

@@ -173,12 +173,16 @@ def cycles_to_permutation(cycles, degree: int):
     return tuple(img)
 
 
-def group_from_permutations(generators, degree: int) -> FiniteGroup:
+def group_from_permutations(
+    generators, degree: int, max_order: int | None = None
+) -> FiniteGroup:
     """Close a set of permutations (image tuples) under composition and build
     the multiplication table.  Elements are ordered lexicographically by
     image tuple, which places the identity first.  The table is not checked
     again: composition of permutations is associative, and each element's
-    inverse is where the identity appears in its row."""
+    inverse is where the identity appears in its row.  With max_order, the
+    closure stops with ValueError as soon as it holds more elements, before
+    any table is built."""
     idp = tuple(range(degree))
     gens = [tuple(g) for g in generators]
     for g in gens:
@@ -193,6 +197,10 @@ def group_from_permutations(generators, degree: int) -> FiniteGroup:
             if q not in elems:
                 elems.add(q)
                 frontier.append(q)
+                if max_order is not None and len(elems) > max_order:
+                    raise ValueError(
+                        f"the permutations generate more than {max_order} elements"
+                    )
     ordered = sorted(elems)
     index = {p: i for i, p in enumerate(ordered)}
     table = tuple(

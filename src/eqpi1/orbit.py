@@ -2,11 +2,13 @@
 
 Objects are the cosets spaces G/H for H in the family; a morphism
 G/H -> G/K is the G-map xH -> xgK determined by a coset gK with
-g^-1 H g contained in K.  Composing xH -> xaK with xK -> xbL gives
-xH -> x(ab)L.  A coset is named only by its least element, read from one
-table per object, so a morphism is the triple (source id, target id,
-representative) and composition and identities are computed from that
-table.  Everything is enumerated eagerly, once, and ordered
+g^-1 H g contained in K, that is with H inside the conjugate gKg^-1.
+Composing xH -> xaK with xK -> xbL gives xH -> x(ab)L.  A coset is named
+only by its least element, read from one table per object, so a morphism
+is the triple (source id, target id, representative) and composition and
+identities are computed from that table.  The hom sets come from the
+subgroup lattice: one conjugate per coset of each target, and the objects
+inside it.  Everything is enumerated eagerly, once, and ordered
 deterministically: objects by subgroup id, morphisms by
 (source id, target id, coset representative).
 """
@@ -77,23 +79,44 @@ class OrbitCategory:
         return h
 
     def _build(self):
-        table = self.group.table
+        # A morphism H -> K with representative r exists exactly when
+        # r^-1 H r <= K, i.e. when H lies in the conjugate rKr^-1, which
+        # depends only on the coset rK.  So each coset of K costs one
+        # conjugate, and its sources are the objects inside that conjugate
+        # (|objects| * |G| products in all).  A validated family is closed
+        # under conjugation and under subgroups, so these are the objects
+        # below rKr^-1 in the lattice; `inside` tests every object against
+        # any subgroup id, so an unvalidated family gets the same hom sets.
+        table, inverse = self.group.table, self.group.inverse
+        members = {
+            hid: frozenset(self.subgroup(hid).elements) for hid in self.objects
+        }
+        inside = {}
+        homs = {(hid, kid): [] for hid in self.objects for kid in self.objects}
         for kid in self.objects:
             k = self.subgroup(kid).elements
-            reps = tuple(min(row[y] for y in k) for row in table)
-            self.coset_rep[kid] = reps
-            self.transversal[kid] = tuple(sorted(set(reps)))
-        for hid in self.objects:
-            h = self.subgroup(hid).elements
-            for kid in self.objects:
-                # rK is a morphism target exactly when H fixes it: x*r in rK
-                # for every x in H, i.e. r^-1 H r lies in K
-                reps = self.coset_rep[kid]
-                self._homs[(hid, kid)] = tuple(
-                    OrbitMorphism(hid, kid, r)
-                    for r in self.transversal[kid]
-                    if all(reps[table[x][r]] == r for x in h)
-                )
+            # walking g upwards, an element not yet placed is the least of
+            # its coset gK, so the transversal comes out increasing
+            reps = [None] * len(table)
+            transversal = []
+            for r in self.group.elements():
+                if reps[r] is not None:
+                    continue
+                transversal.append(r)
+                row = table[r]
+                coset = [row[y] for y in k]
+                for x in coset:
+                    reps[x] = r
+                back = inverse[r]
+                c = self._id_of[tuple(sorted(table[x][back] for x in coset))]
+                if c not in inside:
+                    conj = frozenset(self.subgroup(c).elements)
+                    inside[c] = [h for h in self.objects if members[h] <= conj]
+                for hid in inside[c]:
+                    homs[(hid, kid)].append(OrbitMorphism(hid, kid, r))
+            self.coset_rep[kid] = tuple(reps)
+            self.transversal[kid] = tuple(transversal)
+        self._homs = {key: tuple(ms) for key, ms in homs.items()}
         self._morphisms = tuple(
             m for hid in self.objects for kid in self.objects
             for m in self._homs[(hid, kid)]
@@ -129,10 +152,11 @@ class OrbitCategory:
             raise NotComposable(
                 f"cannot compose {beta} after {alpha}: object mismatch"
             )
-        prod = self.group.mul(alpha.representative, beta.representative)
-        return OrbitMorphism(
+        prod = self.group.table[alpha.representative][beta.representative]
+        # tuple.__new__ skips the NamedTuple's Python-level __new__
+        return tuple.__new__(OrbitMorphism, (
             alpha.source, beta.target, self.coset_rep[beta.target][prod]
-        )
+        ))
 
     def morphisms(self) -> tuple:
         """All morphisms in deterministic order."""
@@ -142,19 +166,22 @@ class OrbitCategory:
     def generating_morphisms(self) -> tuple:
         """Morphisms that generate the category under composition, in
         morphisms() order: H -> s^-1 H s with representative s, for each
-        object H and each group generator s, and the inclusion H -> K of
-        each cover H < K in the family (no member strictly between).  A
-        morphism with representative r factors as conjugation by r, a
-        product of generators (a finite group needs no inverses), then a
-        chain of covers up to its target (tom Dieck, Transformation
-        Groups, I.10)."""
+        object H and each group generator s outside H, and the inclusion
+        H -> K of each cover H < K in the family (no member strictly
+        between).  A morphism with representative r factors as conjugation
+        by r, a product of generators (a finite group needs no inverses),
+        then a chain of covers up to its target (tom Dieck, Transformation
+        Groups, I.10).  Conjugation by a generator inside H is the identity
+        of H, so it is left out."""
         group = self.group
+        members = {h: frozenset(self.subgroup(h).elements) for h in self.objects}
         gens = set()
         for hid in self.objects:
             for s in group.generators:
+                if s in members[hid]:
+                    continue
                 kid = self.id_of(conjugate_subgroup(group, s, self.subgroup(hid)))
                 gens.add(OrbitMorphism(hid, kid, self.coset_rep[kid][s]))
-        members = {h: frozenset(self.subgroup(h).elements) for h in self.objects}
         below = {
             kid: {hid for hid in self.objects if members[hid] < k}
             for kid, k in members.items()
@@ -172,21 +199,26 @@ class OrbitCategory:
 
     def _check_laws(self):
         # identities act as units; associativity is checked exhaustively for
-        # small groups only (it is implied by the group laws, so this is a
-        # self-check, not a user-facing validation)
-        ms = self._morphisms
-        for m in ms:
-            left = self.compose(self.identity(m.target), m)
-            right = self.compose(m, self.identity(m.source))
-            if left != m or right != m:
+        # small groups only (both follow from the group laws, so this is a
+        # self-check of the coset tables, not a user-facing validation).
+        # It works on integers: a then b, with representatives x and y,
+        # has representative coset_rep[target of b][x*y], as in compose.
+        table, reps = self.group.table, self.coset_rep
+        unit = self.group.identity
+        for m in self._morphisms:
+            h, k, r = m
+            to_k = reps[k]
+            if to_k[table[r][to_k[unit]]] != r or to_k[table[reps[h][unit]][r]] != r:
                 raise AssertionError(f"identity law fails at {m}")
         if self.group.order <= 12:
-            for c in ms:
+            for c in self._morphisms:
+                to_c, z = reps[c.target], c.representative
                 for b in self.into[c.source]:
-                    cb = self.compose(c, b)
+                    to_b, y = reps[b.target], b.representative
+                    cb = to_c[table[y][z]]
                     for a in self.into[b.source]:
-                        c_ba = self.compose(c, self.compose(b, a))
-                        if c_ba != self.compose(cb, a):
+                        x = a.representative
+                        if to_c[table[to_b[table[x][y]]][z]] != to_c[table[x][cb]]:
                             raise AssertionError(
                                 f"associativity fails on ({c}, {b}, {a})"
                             )

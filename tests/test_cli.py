@@ -1,5 +1,6 @@
 import json
 import os
+import time
 
 import pytest
 
@@ -300,6 +301,21 @@ def test_oversized_word_exits_three(capsys, tmp_path):
     assert out == ""
     assert err.splitlines() == [
         "error: line 2, column 40: word longer than 100000 letters"
+    ]
+
+
+def test_oversized_group_exits_three_quickly(capsys, tmp_path):
+    # S7 has 5040 elements; its table alone took about a minute to build
+    doc = tmp_path / "s7.eqp"
+    doc.write_text("group permutations 7 { perm (0 1)  perm (0 1 2 3 4 5 6) }\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "validate", str(doc))
+    assert time.perf_counter() - start < 10
+    assert code == 3
+    assert out == ""
+    assert err.splitlines() == [
+        "error: bad permutation group: the permutations generate more than "
+        "1000 elements"
     ]
 
 

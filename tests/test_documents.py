@@ -4,6 +4,7 @@ import pytest
 
 from eqpi1.complexes import validate_complex
 from eqpi1.documents import (
+    MAX_GROUP_ORDER,
     MAX_WORD_LETTERS,
     DanglingReference,
     DocumentSyntaxError,
@@ -20,6 +21,7 @@ from eqpi1.documents import (
 )
 from eqpi1.functors import induced_functor_from_complex
 from eqpi1.groupoids import Word
+from eqpi1.groups import symmetric_group
 from eqpi1.verdicts import VERIFIED
 
 Z2_HEADER = "group table { row 0 1  row 1 0 }\n"
@@ -138,6 +140,28 @@ def test_word_length_limit():
     ):
         with pytest.raises(SchemaViolation, match="longer than 100000 letters"):
             groupoid(word)
+
+
+def test_group_order_limit():
+    def permutations(degree, *cycles):
+        perms = " ".join(f"perm ({' '.join(map(str, c))})" for c in cycles)
+        return parse_document(f"group permutations {degree} {{ {perms} }}").group
+
+    # S6 (720 elements) is the largest symmetric group under the limit
+    for n in (5, 6):
+        assert permutations(n, (0, 1), range(n)) == symmetric_group(n)
+    for degree, cycles in (
+        (7, [(0, 1), range(7)]),
+        (MAX_GROUP_ORDER + 1, [range(MAX_GROUP_ORDER + 1)]),
+    ):
+        with pytest.raises(SchemaViolation, match="more than 1000 elements"):
+            permutations(degree, *cycles)
+    # the row count is checked before the table: 1000 rows reach the table
+    # check, 1001 do not
+    with pytest.raises(SchemaViolation, match="not square"):
+        parse_document("group table {%s }" % (" row 0" * MAX_GROUP_ORDER))
+    with pytest.raises(SchemaViolation, match="more than 1000 rows"):
+        parse_document("group table {%s }" % (" row 0" * (MAX_GROUP_ORDER + 1)))
 
 
 def test_duplicate_names_rejected():
