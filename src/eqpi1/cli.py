@@ -209,7 +209,13 @@ def cmd_fixed(args) -> int:
     if not 0 <= args.subgroup < len(subs):
         raise SchemaViolation(f"no subgroup with id {args.subgroup}")
     sub = subs[args.subgroup]
-    report = Report(f"fixed {name} under subgroup {args.subgroup} {sub}")
+    title = f"fixed {name} under subgroup {args.subgroup} {sub}"
+    bad = validate_complex(x)
+    if bad.is_refuted:
+        report = Report(title, bad)
+        _emit(report, args.format)
+        return report.exit_code(args.strict)
+    report = Report(title)
     try:
         fx = fixed_subcomplex(x, sub)
     except InvalidComplex as e:
@@ -231,6 +237,11 @@ def cmd_fixed(args) -> int:
 def cmd_pi1(args) -> int:
     doc = _load(args.file)
     name, x = _pick("complex", doc.complexes, args.complex)
+    bad = validate_complex(x)
+    if bad.is_refuted:
+        report = Report(f"pi1 {name}", bad)
+        _emit(report, args.format)
+        return report.exit_code()
     g = fundamental_groupoid(x)
     report = Report(f"pi1 {name}")
     report.say("objects: " + " ".join(g.objects))

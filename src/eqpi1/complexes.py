@@ -18,8 +18,11 @@ groupoids, mapping cylinders, gluing) works with these conventions.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate, compress
+from operator import eq, mul
 from typing import NamedTuple
 
 from .groups import FiniteGroup, Subgroup, trivial_group
@@ -72,6 +75,15 @@ class Solid(NamedTuple):
 
 @dataclass(frozen=True)
 class GCellComplex:
+    """A cell complex with a group action.  Construction checks the cells
+    and builds the integer cell index (_index), once per complex: every
+    cell at a position, in the order vertices, edges, faces, solids; per
+    element the image position and sign of each position; per cell the
+    bitmask of the elements that fix it with sign +1.  Building the index
+    refuses an action that misses an element or a cell, changes a cell's
+    dimension, or has a sign other than +-1 (+1 on vertices).  The action
+    dict must not be changed afterwards."""
+
     group: FiniteGroup
     vertices: tuple
     edges: tuple
@@ -112,25 +124,7 @@ class GCellComplex:
                     raise InvalidComplex(
                         f"solid {s.label!r} uses unknown face {lab!r}"
                     )
-        by_dim = [set(self.vertices), eset, fset, {s.label for s in self.solids}]
-        dim_of = self.dimension_of
-        for g in self.group.elements():
-            table = self.action.get(g)
-            if table is None:
-                raise InvalidComplex(f"action of element {g} is missing")
-            if set(table) != labels:
-                raise InvalidComplex(
-                    f"action of element {g} is not defined on every cell"
-                )
-            for lab, (img, sign) in table.items():
-                if img not in by_dim[dim_of(lab)]:
-                    raise InvalidComplex(
-                        f"action of {g} sends {lab!r} to {img!r} of a different dimension"
-                    )
-                if sign not in (1, -1) or (dim_of(lab) == 0 and sign != 1):
-                    raise InvalidComplex(
-                        f"action of {g} on {lab!r} has sign {sign}"
-                    )
+        self._index  # builds the cell index, which checks the action
 
     def all_labels(self):
         for v in self.vertices:
@@ -143,16 +137,14 @@ class GCellComplex:
             yield s.label
 
     @cached_property
-    def _dims(self):
-        d = {v: 0 for v in self.vertices}
-        d.update({e.label: 1 for e in self.edges})
-        d.update({f.label: 2 for f in self.faces})
-        d.update({s.label: 3 for s in self.solids})
-        return d
+    def _index(self) -> "CellIndex":
+        """The integer cell index, built and checked once per complex."""
+        return _cell_index(self)
 
     def dimension_of(self, label: str) -> int:
+        idx = self._index
         try:
-            return self._dims[label]
+            return bisect_right(idx.start, idx.pos[label]) - 1
         except KeyError:
             raise InvalidComplex(f"no cell {label!r}") from None
 
@@ -163,10 +155,6 @@ class GCellComplex:
     @cached_property
     def face_by_label(self):
         return {f.label: f for f in self.faces}
-
-    @cached_property
-    def solid_by_label(self):
-        return {s.label: s for s in self.solids}
 
     def cell_counts(self) -> tuple:
         return (len(self.vertices), len(self.edges), len(self.faces), len(self.solids))
@@ -186,31 +174,24 @@ class GCellComplex:
             at = self.action[g][word.at][0]
         return Word(tuple(out), at=at)
 
-    def translate_chain(self, g, chain, sign: int = 1) -> tuple:
-        table = self.action[g]
-        return _chain_normal(
-            (sign * table[lab][1] * coef, table[lab][0]) for coef, lab in chain
-        )
-
     @cached_property
     def _boundaries(self) -> list:
         """Sparse matrices of d1, d2, d3, built once per complex; callers
         must not mutate them."""
-        v_idx = {v: i for i, v in enumerate(self.vertices)}
-        e_idx = {e.label: i for i, e in enumerate(self.edges)}
-        f_idx = {f.label: i for i, f in enumerate(self.faces)}
+        pos, start = self._index.pos, self._index.start
+        n1, n2 = start[1], start[2]
         return [
             SparseMatrix.from_terms(
-                (((v_idx[e.target], 1), (v_idx[e.source], -1)) for e in self.edges),
-                len(self.vertices),
+                (((pos[e.target], 1), (pos[e.source], -1)) for e in self.edges),
+                n1,
             ),
             SparseMatrix.from_terms(
-                (((e_idx[lab], exp) for lab, exp in f.word.letters) for f in self.faces),
-                len(self.edges),
+                (((pos[lab] - n1, exp) for lab, exp in f.word.letters) for f in self.faces),
+                n2 - n1,
             ),
             SparseMatrix.from_terms(
-                (((f_idx[lab], coef) for coef, lab in s.chain) for s in self.solids),
-                len(self.faces),
+                (((pos[lab] - n2, coef) for coef, lab in s.chain) for s in self.solids),
+                start[3] - n2,
             ),
         ]
 
@@ -223,6 +204,68 @@ class GCellComplex:
             if not (d[i - 1] * d[i]).is_zero():
                 return i
         return None
+
+
+class CellIndex(NamedTuple):
+    """The cells of a complex at dense integer positions, in all_labels()
+    order, and the action on those positions."""
+
+    labels: list  # position -> label
+    start: tuple  # the first position of each dimension 0..3, then the cell count
+    pos: dict  # label -> position
+    perm: list  # element -> image position of each position
+    sign: list  # element -> sign of the image of each position
+    stab: list  # position -> bitmask of the elements fixing the cell with sign +1
+    flipped: tuple | None  # the first (element, position) fixed with sign -1
+
+
+def _cell_index(x: GCellComplex) -> CellIndex:
+    """Check that every element acts on every cell, by a cell of the same
+    dimension with sign +-1 (+1 on vertices), and index the action.  An
+    element's entries are checked in action-table order, so the first
+    offending entry names the refusal."""
+    labels = list(x.all_labels())
+    n = len(labels)
+    pos = dict(zip(labels, range(n)))
+    counts = x.cell_counts()
+    start = (0, *accumulate(counts))
+    dims = []  # position -> dimension
+    for d, c in enumerate(counts):
+        dims += [d] * c
+    perm, sign, stab, flipped = [], [], [0] * n, None
+    for g in x.group.elements():
+        table = x.action.get(g)
+        if table is None:
+            raise InvalidComplex(f"action of element {g} is missing")
+        entries = list(map(table.get, labels)) if len(table) == n else [None]
+        if None in entries:
+            raise InvalidComplex(f"action of element {g} is not defined on every cell")
+        images = [img for img, _ in entries]
+        signs = [s for _, s in entries]
+        row = list(map(pos.get, images))
+        if (
+            None in row
+            or list(map(dims.__getitem__, row)) != dims
+            or signs.count(1) + signs.count(-1) != n
+            or signs[: start[1]].count(1) != start[1]
+        ):  # some entry is refused: name the first
+            for lab, (img, s) in table.items():
+                d = dims[pos[lab]]
+                if img not in pos or dims[pos[img]] != d:
+                    raise InvalidComplex(
+                        f"action of {g} sends {lab!r} to {img!r} of a different dimension"
+                    )
+                if s not in (1, -1) or (d == 0 and s != 1):
+                    raise InvalidComplex(f"action of {g} on {lab!r} has sign {s}")
+        perm.append(row)
+        sign.append(signs)
+        bit = 1 << g
+        for i in compress(range(n), map(eq, row, range(n))):
+            if signs[i] == 1:
+                stab[i] |= bit
+            elif flipped is None:
+                flipped = (g, i)
+    return CellIndex(labels, start, pos, perm, sign, stab, flipped)
 
 
 def _chain_normal(chain) -> tuple:
@@ -273,78 +316,76 @@ def _action_refutation(x: GCellComplex, gs):
     every h) and to respect edge endpoints, attaching words and solid
     boundaries, each for the elements g in gs; fixed cells keep
     orientation is checked for every element, since it is not closed under
-    composition."""
-    labels = list(x.all_labels())
-    elements = x.group.elements()
+    composition.  Every check reads the cell index."""
+    idx = x._index
+    labels, perm, sign = idx.labels, idx.perm, idx.sign
     for g in gs:
-        images = [x.action[g][lab][0] for lab in labels]
-        if len(set(images)) != len(labels):
+        if len(set(perm[g])) != len(labels):
             return Verdict.refuted(
                 {"check": "action bijective", "element": g}, LEVEL_SYNTACTIC
             )
     for g in gs:
-        act_g = x.action[g]
+        pg, sg = perm[g], sign[g]
         row = x.group.table[g]
-        for h in elements:
-            act_h = x.action[h]
-            act_gh = x.action[row[h]]
-            for lab in labels:
-                img_h, s_h = act_h[lab]
-                img_gh, s_gh = act_g[img_h]
-                if (img_gh, s_h * s_gh) != act_gh[lab]:
-                    return Verdict.refuted(
-                        {
-                            "check": "action is a homomorphism",
-                            "pair": (g, h),
-                            "cell": lab,
-                        },
-                        LEVEL_SYNTACTIC,
-                    )
+        for h in x.group.elements():
+            ph, sh = perm[h], sign[h]
+            p_gh, s_gh = perm[row[h]], sign[row[h]]
+            moved = list(map(pg.__getitem__, ph))
+            signs = list(map(mul, map(sg.__getitem__, ph), sh))
+            if moved != p_gh or signs != s_gh:
+                i = next(
+                    i for i in range(len(labels))
+                    if (moved[i], signs[i]) != (p_gh[i], s_gh[i])
+                )
+                return Verdict.refuted(
+                    {"check": "action is a homomorphism", "pair": (g, h),
+                     "cell": labels[i]},
+                    LEVEL_SYNTACTIC,
+                )
 
+    pos, (_, e0, f0, s0, _) = idx.pos, idx.start
+    ends = [(pos[e.source], pos[e.target]) for e in x.edges]
+    words = [tuple((pos[lab], exp) for lab, exp in f.word.letters) for f in x.faces]
+    chains = [dict(col) for col in x._boundaries[2].data]  # face offset -> coef
     for g in gs:
-        for e_ in x.edges:
-            img, sign = x.action[g][e_.label]
-            ie = x.edge_by_label[img]
-            src = x.action[g][e_.source][0]
-            tgt = x.action[g][e_.target][0]
-            want = (src, tgt) if sign == 1 else (tgt, src)
-            if (ie.source, ie.target) != want:
+        pg, sg = perm[g], sign[g]
+        for i, (a, b) in enumerate(ends, e0):
+            want = (pg[a], pg[b]) if sg[i] == 1 else (pg[b], pg[a])
+            if ends[pg[i] - e0] != want:
                 return Verdict.refuted(
                     {"check": "action respects edge endpoints", "element": g,
-                     "edge": e_.label},
+                     "edge": labels[i]},
                     LEVEL_SYNTACTIC,
                 )
-        for f in x.faces:
-            img, sign = x.action[g][f.label]
-            translated = x.translate_word(g, f.word)
-            want = translated.letters if sign == 1 else invert_letters(translated.letters)
-            got = x.face_by_label[img].word.letters
-            if not rotation_equal(got, want):
+        for i, word in enumerate(words, f0):
+            want = tuple((pg[j], exp * sg[j]) for j, exp in word)
+            if sg[i] != 1:
+                want = invert_letters(want)
+            got = words[pg[i] - f0]
+            if got != want and not rotation_equal(got, want):
                 return Verdict.refuted(
                     {"check": "action respects attaching words", "element": g,
-                     "face": f.label},
+                     "face": labels[i]},
                     LEVEL_SYNTACTIC,
                 )
-        for s in x.solids:
-            img, sign = x.action[g][s.label]
-            want = x.translate_chain(g, s.chain, sign)
-            got = _chain_normal(x.solid_by_label[img].chain)
-            if got != want:
+        for i, chain in enumerate(chains, s0):
+            want = {
+                pg[f0 + k] - f0: sg[i] * sg[f0 + k] * coef
+                for k, coef in chain.items()
+            }
+            if chains[pg[i] - s0] != want:
                 return Verdict.refuted(
                     {"check": "action respects solid boundaries", "element": g,
-                     "solid": s.label},
+                     "solid": labels[i]},
                     LEVEL_SYNTACTIC,
                 )
-    for g in elements:
-        act_g = x.action[g]
-        for lab in labels:
-            img, sign = act_g[lab]
-            if img == lab and sign != 1:
-                return Verdict.refuted(
-                    {"check": "fixed cells keep orientation", "element": g,
-                     "cell": lab},
-                    LEVEL_SYNTACTIC,
-                )
+    if idx.flipped is not None:
+        g, i = idx.flipped
+        return Verdict.refuted(
+            {"check": "fixed cells keep orientation", "element": g,
+             "cell": labels[i]},
+            LEVEL_SYNTACTIC,
+        )
     return None
 
 
@@ -362,7 +403,12 @@ def validate_complex(x: GCellComplex) -> Verdict:
     extend from S to every element.  That costs |S|*|G|*cells instead of
     |G|^2*cells.  When the check on S fails, every element is checked
     again in the same order, so a refutation names the first failing
-    element or pair of the full scan."""
+    element or pair of the full scan.
+
+    The checks read the cell index: rho(s*h) = rho(s)rho(h) compares the
+    composed permutation and sign lists with those of s*h, and the
+    identity and orientation checks read the stabilizer masks and the
+    first cell fixed with sign -1 found when the index was built."""
     verdicts = []
 
     for f in x.faces:
@@ -379,11 +425,11 @@ def validate_complex(x: GCellComplex) -> Verdict:
             )
     verdicts.append(Verdict.verified(LEVEL_SYNTACTIC))
 
-    e = x.group.identity
-    for lab in x.all_labels():
-        if x.action[e][lab] != (lab, 1):
+    e_bit = 1 << x.group.identity
+    for i, mask in enumerate(x._index.stab):
+        if not mask & e_bit:
             return Verdict.refuted(
-                {"check": "identity acts trivially", "cell": lab},
+                {"check": "identity acts trivially", "cell": x._index.labels[i]},
                 LEVEL_SYNTACTIC,
             )
     if _action_refutation(x, x.group.generators) is not None:
@@ -416,13 +462,8 @@ def homology_of_complex(x: GCellComplex, max_dim: int = 3):
 
 
 def cell_names(x: GCellComplex, dim: int):
-    if dim == 0:
-        return list(x.vertices)
-    if dim == 1:
-        return [e.label for e in x.edges]
-    if dim == 2:
-        return [f.label for f in x.faces]
-    return [s.label for s in x.solids]
+    start = x._index.start
+    return x._index.labels[start[dim]:start[dim + 1]]
 
 
 def describe_homology(x: GCellComplex, max_dim: int = 3):
@@ -457,39 +498,45 @@ def _chain_string(vec, names) -> str:
 def fixed_subcomplex(x: GCellComplex, h: Subgroup) -> GCellComplex:
     """Cells fixed (with orientation) by every element of h, as a complex
     without group action.  Raises InvalidComplex when the fixed cells do not
-    close up under boundaries."""
-
-    def fixed(lab):
-        return all(x.action[g][lab] == (lab, 1) for g in h.elements)
-
-    vs = tuple(v for v in x.vertices if fixed(v))
-    es = tuple(e for e in x.edges if fixed(e.label))
-    fs = tuple(f for f in x.faces if fixed(f.label))
-    ss = tuple(s for s in x.solids if fixed(s.label))
-    vset = set(vs)
-    eset = {e.label for e in es}
-    fset = {f.label for f in fs}
-    for e in es:
-        if e.source not in vset or e.target not in vset:
-            raise InvalidComplex(
-                f"fixed cells are not a subcomplex: edge {e.label!r} has an unfixed endpoint"
-            )
-    for f in fs:
-        if not f.word.letters and f.word.at not in vset:
-            raise InvalidComplex(
-                f"fixed cells are not a subcomplex: face {f.label!r} anchored off the fixed part"
-            )
-        for lab, _ in f.word.letters:
-            if lab not in eset:
+    close up under boundaries.  The fixed cells are those whose stabilizer
+    in the cell index contains h."""
+    idx = x._index
+    hmask = 0
+    for g in h.elements:
+        hmask |= 1 << g
+    keep = [mask & hmask == hmask for mask in idx.stab]
+    start = idx.start
+    vs, es, fs, ss = (
+        tuple(compress(cells, keep[lo:hi]))
+        for cells, lo, hi in zip(
+            (x.vertices, x.edges, x.faces, x.solids), start, start[1:]
+        )
+    )
+    if not all(keep):  # when every cell is fixed, x itself is closed
+        vset = set(vs)
+        eset = {e.label for e in es}
+        fset = {f.label for f in fs}
+        for e in es:
+            if e.source not in vset or e.target not in vset:
                 raise InvalidComplex(
-                    f"fixed cells are not a subcomplex: face {f.label!r} uses unfixed edge {lab!r}"
+                    f"fixed cells are not a subcomplex: edge {e.label!r} has an unfixed endpoint"
                 )
-    for s in ss:
-        for _, lab in s.chain:
-            if lab not in fset:
+        for f in fs:
+            if not f.word.letters and f.word.at not in vset:
                 raise InvalidComplex(
-                    f"fixed cells are not a subcomplex: solid {s.label!r} uses unfixed face {lab!r}"
+                    f"fixed cells are not a subcomplex: face {f.label!r} anchored off the fixed part"
                 )
+            for lab, _ in f.word.letters:
+                if lab not in eset:
+                    raise InvalidComplex(
+                        f"fixed cells are not a subcomplex: face {f.label!r} uses unfixed edge {lab!r}"
+                    )
+        for s in ss:
+            for _, lab in s.chain:
+                if lab not in fset:
+                    raise InvalidComplex(
+                        f"fixed cells are not a subcomplex: solid {s.label!r} uses unfixed face {lab!r}"
+                    )
     return _plain_complex(vs, es, fs, ss)
 
 
@@ -757,16 +804,16 @@ def glue(parts, identifications) -> GCellComplex:
                     action[g][pre + lab] = (pre + img, sign)
         x = GCellComplex(group, *map(tuple, cells), action)
 
-    dims = x._dims
+    pos = x._index.pos
     uf = UnionFind()
     for lab in x.all_labels():
         uf.add(lab)
     queue = list(identifications)
     while queue:
         a, b = queue.pop()
-        if a not in dims or b not in dims:
+        if a not in pos or b not in pos:
             raise IncompatibleIdentification(f"unknown cell in pair ({a!r}, {b!r})")
-        if dims[a] != dims[b]:
+        if x.dimension_of(a) != x.dimension_of(b):
             raise IncompatibleIdentification(
                 f"cells {a!r} and {b!r} have different dimensions"
             )

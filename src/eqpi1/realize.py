@@ -15,12 +15,12 @@ The construction runs in stages:
   5. one solid per orbit morphism, coset, and relator, whenever the image
      of the relator collapses or lands on a relator (rigid case).
 
-One builder emits every cell of stages 3 to 5 once, keyed by
-(prefix, subgroup id, coset representative, suffix) and labelled
-"prefix.g<rep>.suffix".  The group permutes copies by left translation of
-cosets and all cells keep orientation, so g sends a key to the key with
-the representative of g*rep; merged vertices move as the 0-skeleton
-says.  The uncollapsed variant keeps one vertex per copy object and
+One builder emits every cell of stages 3 to 5 once, labelled
+"prefix.g<rep>.suffix", in blocks: per subgroup and per orbit morphism,
+the same row of cells at every coset representative.  The group permutes
+copies by left translation of cosets and all cells keep orientation, so
+g sends the row at rep to the row at the representative of g*rep, cell
+for cell; merged vertices move as the 0-skeleton says.  The uncollapsed variant keeps one vertex per copy object and
 inserts vertical edges instead of merging; it has the same homology in
 degree 3 and is exposed for cross-checks.
 
@@ -205,17 +205,23 @@ def _build(f: OrbFunctor, max_dim: int, coend: CoendResult | None):
     v<mi>.g<rep>.<object>.  Returns the complex and the nonrigid pairs."""
     cat = f.category
     group = cat.group
-    keys = {}  # (prefix, hid, coset rep, suffix) -> label, in emission order
+    blocks = []  # (hid, the labels emitted at each coset rep, in transversal order)
 
-    def emit(prefix, hid, r, suffix):
-        lab = keys[(prefix, hid, r, suffix)] = _label(prefix, r, suffix)
+    def block(hid):
+        rows = [[] for _ in cat.transversal[hid]]
+        blocks.append((hid, rows))
+        return zip(cat.transversal[hid], rows)
+
+    def emit(row, prefix, r, suffix):
+        lab = _label(prefix, r, suffix)
+        row.append(lab)
         return lab
 
     if coend is None:
         vertices = [
-            emit(f"o{hid}", hid, r, x)
+            emit(row, f"o{hid}", r, x)
             for hid in cat.objects
-            for r in cat.transversal[hid]
+            for r, row in block(hid)
             for x in f.values[hid].objects
         ]
 
@@ -228,18 +234,18 @@ def _build(f: OrbFunctor, max_dim: int, coend: CoendResult | None):
     edges, faces, solids, nonrigid = [], [], [], []
     for hid in cat.objects:
         val = f.values[hid]
-        for r in cat.transversal[hid]:
+        for r, row in block(hid):
             for gen in val.generators:
                 edges.append(
                     Edge(
-                        emit(f"o{hid}", hid, r, gen.label),
+                        emit(row, f"o{hid}", r, gen.label),
                         vertex(hid, r, gen.source),
                         vertex(hid, r, gen.target),
                     )
                 )
             for k, rel in enumerate(val.relators):
                 at = vertex(hid, r, rel.at) if not rel.letters else None
-                label = emit(f"o{hid}", hid, r, f"rel{k}")
+                label = emit(row, f"o{hid}", r, f"rel{k}")
                 faces.append(Face(label, _copy_word(hid, r, rel, at)))
     for mi, m in enumerate(cat.morphisms()):
         arrow = f.arrows[m]
@@ -255,13 +261,13 @@ def _build(f: OrbFunctor, max_dim: int, coend: CoendResult | None):
                 matches[k] = match
         if coend is not None and not down.generators and not matches:
             continue  # no vertical edge, square or solid at any coset
-        for r in cat.transversal[hid]:
+        for r, row in block(hid):
             ir = cat.apply(m, r)
             if coend is None:
                 for x in down.objects:
                     edges.append(
                         Edge(
-                            emit(f"v{mi}", hid, r, x),
+                            emit(row, f"v{mi}", r, x),
                             vertex(kid, ir, x),
                             vertex(hid, r, arrow.object_map[x]),
                         )
@@ -276,7 +282,9 @@ def _build(f: OrbFunctor, max_dim: int, coend: CoendResult | None):
                         + ((_label(f"v{mi}", r, gen.source), -1),)
                     )
                 word = ((_label(f"o{kid}", ir, gen.label), 1),) + word
-                faces.append(Face(emit(f"q{mi}", hid, r, gen.label), Word(word)))
+                faces.append(
+                    Face(emit(row, f"q{mi}", r, gen.label), Word(word))
+                )
             for k, match in matches.items():
                 chain = [(1, _label(f"o{kid}", ir, f"rel{k}"))]
                 if match is not None:
@@ -284,18 +292,31 @@ def _build(f: OrbFunctor, max_dim: int, coend: CoendResult | None):
                     chain.append((-sign, _label(f"o{hid}", r, f"rel{j}")))
                 for lab, e in down.relators[k].letters:
                     chain.append((-e, _label(f"q{mi}", r, lab)))
-                label = emit(f"s{mi}", hid, r, f"r{k}")
+                label = emit(row, f"s{mi}", r, f"r{k}")
                 solids.append(Solid(label, _chain_normal(chain)))
 
-    action = {}
-    for g in group.elements():
-        table = {}
-        if coend is not None:
-            table = {lab: (img, 1) for lab, img in coend.action[g].items()}
-        for (prefix, hid, r, suffix), lab in keys.items():
-            moved = cat.coset_rep[hid][group.mul(g, r)]
-            table[lab] = (keys[(prefix, hid, moved, suffix)], 1)
-        action[g] = table
+    # g sends the cells emitted at coset rep r to those emitted at the
+    # representative of g*r, in the same order, all with sign +1
+    labels = list(vertices) if coend is not None else []
+    pair = {lab: (lab, 1) for lab in labels}
+    images = {
+        g: [pair[coend.action[g][lab]] for lab in labels]
+        for g in group.elements()
+    }
+    for hid, rows in blocks:
+        if not rows[0]:
+            continue  # a block without cells, such as a value with no generators
+        reps = cat.transversal[hid]
+        at = {r: i for i, r in enumerate(reps)}
+        pairs = [[(lab, 1) for lab in row] for row in rows]
+        for row in rows:
+            labels += row
+        coset_rep = cat.coset_rep[hid]
+        for g, out in images.items():
+            mul = group.table[g]
+            for r in reps:
+                out += pairs[at[coset_rep[mul[r]]]]
+    action = {g: dict(zip(labels, out)) for g, out in images.items()}
     space = GCellComplex(
         group, tuple(vertices), tuple(edges), tuple(faces), tuple(solids), action
     )

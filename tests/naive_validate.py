@@ -12,6 +12,15 @@ from eqpi1.groupoids import invert_letters, rotation_equal, walk_word
 from eqpi1.verdicts import LEVEL_SYNTACTIC, Verdict, combine
 
 
+def _translate_chain(x, g, chain, sign=1) -> tuple:
+    """The former GCellComplex.translate_chain: g applied to a chain of
+    faces, times sign, in normal form."""
+    table = x.action[g]
+    return _chain_normal(
+        (sign * table[lab][1] * coef, table[lab][0]) for coef, lab in chain
+    )
+
+
 def naive_validate_complex(x) -> Verdict:
     """Mathematical well-formedness: face words are closed paths, the action
     is a sign-respecting permutation action commuting with all boundaries,
@@ -63,6 +72,7 @@ def naive_validate_complex(x) -> Verdict:
                         LEVEL_SYNTACTIC,
                     )
 
+    solid_by_label = {s.label: s for s in x.solids}
     for g in x.group.elements():
         for e_ in x.edges:
             img, sign = x.action[g][e_.label]
@@ -89,8 +99,8 @@ def naive_validate_complex(x) -> Verdict:
                 )
         for s in x.solids:
             img, sign = x.action[g][s.label]
-            want = x.translate_chain(g, s.chain, sign)
-            got = _chain_normal(x.solid_by_label[img].chain)
+            want = _translate_chain(x, g, s.chain, sign)
+            got = _chain_normal(solid_by_label[img].chain)
             if got != want:
                 return Verdict.refuted(
                     {"check": "action respects solid boundaries", "element": g,

@@ -1,0 +1,212 @@
+"""The integer cell index of a G-complex.
+
+GCellComplex builds one index per complex when it is constructed: every
+cell at a position (vertices, edges, faces, solids, each in order), and
+per element a permutation and a sign list of those positions, and per
+cell the bitmask of the elements that fix it with sign +1.  Building it
+checks the action, with the refusal messages of the former label-keyed
+checks, pinned below.
+
+fixed_subcomplex takes the cells whose stabilizer mask contains the
+subgroup.  It is compared with the former construction in
+tests/naive_fixed.py on realized cones, the S4 point, the shipped
+documents and the corrupted actions of tests/test_action_generators.py.
+"""
+
+import pytest
+from conftest import data_file
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from naive_fixed import naive_fixed_subcomplex
+from test_action_generators import corrupt, s3_triangle, twist
+from test_law_generators import s4_swapped_loops
+
+from eqpi1 import complexes
+from eqpi1.complexes import (
+    Edge,
+    Face,
+    GCellComplex,
+    InvalidComplex,
+    cell_names,
+    fixed_subcomplex,
+    validate_complex,
+)
+from eqpi1.documents import parse_document, parse_path
+from eqpi1.functors import induced_functor_from_complex
+from eqpi1.groupoids import Word
+from eqpi1.groups import cyclic_group, family_all, trivial_group
+from eqpi1.realize import build_space
+from eqpi1.verdicts import VERIFIED
+
+SHIPPED = ("torus_z2.eqp", "reflection_circle_z2.eqp", "free_s0_z2.eqp")
+
+
+LOOP = (Edge("a", "v", "v"),)
+
+
+def pinched_loops():
+    """Loops a, b at v and a face c along a b; the generator of Z/2 swaps
+    a and b and turns c, so c is fixed over edges that are not."""
+    return GCellComplex(
+        cyclic_group(2), ("v",), LOOP + (Edge("b", "v", "v"),),
+        (Face("c", Word((("a", 1), ("b", 1)))),), (),
+        {
+            0: {lab: (lab, 1) for lab in ("v", "a", "b", "c")},
+            1: {"v": ("v", 1), "a": ("b", 1), "b": ("a", 1), "c": ("c", 1)},
+        },
+    )
+
+
+def realized(x):
+    return build_space(induced_functor_from_complex(x, family_all(x.group))).space
+
+
+@pytest.fixture(scope="module")
+def spaces(bench_inputs):
+    """Realized cones C_n (n = 2..6, with and without Z/3 loops), the S4
+    point and its realized space, the complexes of the shipped documents,
+    the S3 triangle, the S4 swapped loops and the pinched loops."""
+    out = []
+    for loop_power in (None, 3):
+        for n in range(2, 7):
+            text = bench_inputs.cone(n, 0, loop_power=loop_power)
+            (x,) = parse_document(text).complexes.values()
+            out.append(realized(x))
+    (point,) = parse_document(bench_inputs.point_s4(0)).complexes.values()
+    out += [point, realized(point)]
+    for name in SHIPPED:
+        out.extend(parse_path(data_file(name)).complexes.values())
+    out += [s3_triangle(), s4_swapped_loops(), pinched_loops()]
+    return out
+
+
+def fixed_outcome(fixed, x, h):
+    try:
+        y = fixed(x, h)
+    except InvalidComplex as e:
+        return str(e)
+    return y.vertices, y.edges, y.faces, y.solids, y.group.order, y.action
+
+
+def same_fixed(x):
+    """Every subgroup's fixed subcomplex, or refusal, against the oracle;
+    returns the number of refusals."""
+    refused = 0
+    for h in x.group.subgroups:
+        got = fixed_outcome(fixed_subcomplex, x, h)
+        assert got == fixed_outcome(naive_fixed_subcomplex, x, h)
+        refused += isinstance(got, str)
+    return refused
+
+
+def test_index_reads_like_the_action(spaces):
+    assert len(spaces) == 18
+    for x in spaces:
+        idx = x._index
+        assert idx.labels == list(x.all_labels())
+        assert idx.start[-1] == len(idx.labels)
+        for g in x.group.elements():
+            for i, lab in enumerate(idx.labels):
+                img, sign = x.action[g][lab]
+                assert (idx.labels[idx.perm[g][i]], idx.sign[g][i]) == (img, sign)
+                assert bool(idx.stab[i] >> g & 1) == ((img, sign) == (lab, 1))
+        assert idx.flipped is None
+        for d in range(4):
+            assert cell_names(x, d) == idx.labels[idx.start[d]:idx.start[d + 1]]
+
+
+def test_fixed_subcomplexes_match_the_oracle(spaces):
+    refused = sum(same_fixed(x) for x in spaces)
+    assert refused == 1  # the pinched loops under Z/2
+
+
+@given(data=st.data())
+@settings(deadline=None)
+def test_corrupted_fixed_subcomplexes_match_the_oracle(spaces, data):
+    x = data.draw(st.sampled_from(spaces))
+    g = data.draw(st.sampled_from(list(x.group.elements())))
+    dims = [d for d in range(4) if cell_names(x, d)]
+    positive = [lab for d in dims if d > 0 for lab in cell_names(x, d)]
+    halves = [h for h in x.group.subgroups if 2 * h.order == x.group.order]
+    kinds = ["swap", "merge"]
+    if positive:
+        kinds.append("flip")
+        if halves:
+            kinds.append("twist")
+    kind = data.draw(st.sampled_from(kinds))
+    if kind == "twist":
+        h = data.draw(st.sampled_from(halves))
+        y = twist(x, h, data.draw(st.sampled_from(positive)))
+    elif kind == "flip":
+        y = corrupt(x, g, kind, data.draw(st.sampled_from(positive)))
+    else:
+        cells = cell_names(x, data.draw(st.sampled_from(dims)))
+        a, b = data.draw(st.lists(st.sampled_from(cells), min_size=2, max_size=2))
+        y = corrupt(x, g, kind, a, b)
+    same_fixed(y)
+
+
+@pytest.mark.parametrize(
+    "group, action, message",
+    [
+        (cyclic_group(2), {0: {"v": ("v", 1), "a": ("a", 1)}},
+         "action of element 1 is missing"),
+        (trivial_group(), {0: {"v": ("v", 1)}},
+         "action of element 0 is not defined on every cell"),
+        (trivial_group(), {0: {"v": ("v", 1), "a": ("a", 1), "b": ("a", 1)}},
+         "action of element 0 is not defined on every cell"),
+        (trivial_group(), {0: {"v": ("a", 1), "a": ("v", 1)}},
+         "action of 0 sends 'v' to 'a' of a different dimension"),
+        (trivial_group(), {0: {"v": ("v", 1), "a": ("z", 1)}},
+         "action of 0 sends 'a' to 'z' of a different dimension"),
+        (trivial_group(), {0: {"v": ("v", -1), "a": ("a", 1)}},
+         "action of 0 on 'v' has sign -1"),
+        (trivial_group(), {0: {"v": ("v", 1), "a": ("a", 2)}},
+         "action of 0 on 'a' has sign 2"),
+        # the first offending entry in action-table order, not cell order
+        (trivial_group(), {0: {"a": ("a", 0), "v": ("v", -1)}},
+         "action of 0 on 'a' has sign 0"),
+        (trivial_group(), {0: {"a": ("a", 0), "v": ("a", 1)}},
+         "action of 0 on 'a' has sign 0"),
+        # one entry: the dimension before the sign
+        (trivial_group(), {0: {"v": ("a", -1), "a": ("a", 1)}},
+         "action of 0 sends 'v' to 'a' of a different dimension"),
+        # the first offending element, before a later missing one
+        (cyclic_group(3), {0: {"v": ("v", 1), "a": ("a", 1)},
+                           1: {"v": ("v", 1), "a": ("a", 3)}},
+         "action of 1 on 'a' has sign 3"),
+    ],
+)
+def test_construction_refusals_keep_their_messages(group, action, message):
+    with pytest.raises(InvalidComplex) as e:
+        GCellComplex(group, ("v",), LOOP, (), (), action)
+    assert str(e.value) == message
+
+
+def test_cell_index_is_built_once(bench_inputs, monkeypatch):
+    # the realized cone C6: building the space indexes it once, and
+    # validate_complex and every fixed subcomplex read that index; each
+    # fixed subcomplex, a complex of its own, is indexed once
+    (x,) = parse_document(bench_inputs.cone(6, 0)).complexes.values()
+    f = induced_functor_from_complex(x, family_all(x.group))
+    builds, dims = [], []
+    build = complexes._cell_index
+    dimension_of = GCellComplex.dimension_of
+
+    def counted_build(y):
+        builds.append(y)
+        return build(y)
+
+    def counted_dimension_of(y, label):
+        dims.append(label)
+        return dimension_of(y, label)
+
+    monkeypatch.setattr(complexes, "_cell_index", counted_build)
+    monkeypatch.setattr(GCellComplex, "dimension_of", counted_dimension_of)
+    space = build_space(f).space
+    assert space.cell_counts() == (7, 72, 468, 216)
+    assert validate_complex(space).status == VERIFIED
+    fixed = [fixed_subcomplex(space, f.category.subgroups[h]) for h in f.category.objects]
+    assert [y is space for y in builds] == [True] + [False] * len(fixed)
+    assert all(any(y is b for b in builds) for y in fixed)
+    assert dims == []

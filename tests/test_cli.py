@@ -36,6 +36,18 @@ complex pinch {
 }
 """
 
+# refuted by validate: the generator fixes the loop a and reverses it
+REVERSED_LOOP_DOC = """
+group table { row 0 1 row 1 0 }
+complex c { vertices v edge a v v action 1 { a -> a^-1 } }
+"""
+
+# refuted by validate: the face word runs from v to w
+OPEN_FACE_DOC = """
+group table { row 0 }
+complex c { vertices v w edge a v w face f a }
+"""
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -182,6 +194,33 @@ def test_fixed_subcomplex_unclosed(capsys, tmp_path):
     assert code == 1
     assert "refuted" in out
     assert "not a subcomplex" in out
+
+
+ORIENTATION = "{'check': 'fixed cells keep orientation', 'element': 1, 'cell': 'a'}"
+CLOSED = "{'check': 'face word closed', 'face': 'f', 'ends': ('v', 'w')}"
+
+
+@pytest.mark.parametrize(
+    "text, argv, title, witness",
+    [
+        (REVERSED_LOOP_DOC, ("fixed", "c", "1"), "fixed c under subgroup 1 {0,1}",
+         ORIENTATION),
+        (REVERSED_LOOP_DOC, ("pi1",), "pi1 c", ORIENTATION),
+        (OPEN_FACE_DOC, ("fixed", "c", "0"), "fixed c under subgroup 0 {0}", CLOSED),
+        (OPEN_FACE_DOC, ("pi1",), "pi1 c", CLOSED),
+    ],
+    ids=["fixed-reversed-loop", "pi1-reversed-loop", "fixed-open-face", "pi1-open-face"],
+)
+def test_fixed_and_pi1_refuse_a_refuted_complex(
+    capsys, tmp_path, text, argv, title, witness
+):
+    # the refutation of validate, on one line, with exit 1 and no error
+    doc = tmp_path / "refuted.eqp"
+    doc.write_text(text)
+    command, *rest = argv
+    code, out, err = run(capsys, command, str(doc), *rest)
+    assert (code, err) == (1, "")
+    assert out == f"{title}: refuted[syntactic] witness={witness}\n"
 
 
 def test_pi1_torus(capsys):

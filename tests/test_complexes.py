@@ -122,7 +122,6 @@ def test_cell_bookkeeping():
     assert x.action[0]["a"] == ("a", 1)
     w = x.translate_word(0, Word(TORUS_RELATOR, at="u"))
     assert w.letters == TORUS_RELATOR and w.at == "u"
-    assert x.translate_chain(0, ((2, "rel0"), (-2, "rel0"))) == ()
 
 
 def test_validate_face_words():
