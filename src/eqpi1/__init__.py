@@ -49,13 +49,9 @@ from .complexes import (
     describe_homology,
     fixed_subcomplex,
     fundamental_groupoid,
-    glue,
     homology_of_complex,
     identity_cellular_map,
-    mapping_cylinder,
-    mapping_torus,
     presentation_complex,
-    realize_morphism,
     validate_complex,
 )
 from .functors import (

@@ -48,10 +48,6 @@ from .reports import EXIT_INPUT, EXIT_INTERNAL, Report
 from .verdicts import Verdict
 
 
-def _load(path):
-    return parse_path(path)
-
-
 def _pick(kind: str, table: dict, name):
     if name is not None:
         if name not in table:
@@ -86,7 +82,7 @@ def _homology_lines(x, max_dim=3):
 
 
 def cmd_validate(args) -> int:
-    doc = _load(args.file)
+    doc = parse_path(args.file)
     report = Report(f"validate {args.file}")
     head = report.add(Report("document"))
     head.say(f"group order {doc.group.order}")
@@ -114,7 +110,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_orbit_cat(args) -> int:
-    doc = _load(args.file)
+    doc = parse_path(args.file)
     cat = doc.category
     report = Report("orbit category")
     for hid in cat.objects:
@@ -133,7 +129,7 @@ def cmd_orbit_cat(args) -> int:
 
 
 def cmd_realize(args) -> int:
-    doc = _load(args.file)
+    doc = parse_path(args.file)
     name, functor = _pick("functor", doc.functors, args.functor)
     report = Report(f"realize {name}")
     report.add(Report("functor laws", validate_functoriality(functor)))
@@ -192,7 +188,7 @@ def cmd_realize(args) -> int:
 
 
 def cmd_homology(args) -> int:
-    doc = _load(args.file)
+    doc = parse_path(args.file)
     name, x = _pick("complex", doc.complexes, args.complex)
     report = Report(f"homology {name}", validate_complex(x))
     if not report.verdict.is_refuted:
@@ -203,7 +199,7 @@ def cmd_homology(args) -> int:
 
 
 def cmd_fixed(args) -> int:
-    doc = _load(args.file)
+    doc = parse_path(args.file)
     name, x = _pick("complex", doc.complexes, args.complex)
     subs = doc.group.subgroups
     if not 0 <= args.subgroup < len(subs):
@@ -235,7 +231,7 @@ def cmd_fixed(args) -> int:
 
 
 def cmd_pi1(args) -> int:
-    doc = _load(args.file)
+    doc = parse_path(args.file)
     name, x = _pick("complex", doc.complexes, args.complex)
     bad = validate_complex(x)
     if bad.is_refuted:
@@ -264,7 +260,7 @@ def cmd_pi1(args) -> int:
 
 
 def cmd_induced_functor(args) -> int:
-    doc = _load(args.file)
+    doc = parse_path(args.file)
     name, x = _pick("complex", doc.complexes, args.complex)
     bad = validate_complex(x)
     if bad.is_refuted:
@@ -301,13 +297,13 @@ def cmd_induced_functor(args) -> int:
 
 
 def cmd_export(args) -> int:
-    doc = _load(args.file)
+    doc = parse_path(args.file)
     print(document_json(doc))
     return 0
 
 
 def cmd_export_dot(args) -> int:
-    doc = _load(args.file)
+    doc = parse_path(args.file)
     if args.name in doc.groupoids:
         text = groupoid_dot(args.name, doc.groupoids[args.name])
     elif args.name in doc.complexes:

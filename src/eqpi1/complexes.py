@@ -13,12 +13,11 @@ Boundary conventions:
   d3(solid) = its chain
 
 Everything downstream (homology, fixed subcomplexes, fundamental
-groupoids, mapping cylinders, gluing) works with these conventions.
+groupoids, cellular maps) works with these conventions.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, compress
@@ -28,10 +27,8 @@ from typing import NamedTuple
 from .groups import FiniteGroup, Subgroup, trivial_group
 from .groupoids import (
     Gen,
-    GroupoidMorphism,
     PresentedGroupoid,
     Word,
-    check_respects_relations,
     cyclic_reduce_letters,
     expand_letters,
     invert_letters,
@@ -44,20 +41,6 @@ from .verdicts import LEVEL_SYNTACTIC, Verdict, combine
 
 class InvalidComplex(ValueError):
     pass
-
-
-class IncompatibleIdentification(ValueError):
-    pass
-
-
-class MissingFaceMap(ValueError):
-    pass
-
-
-class RelationsRefuted(ValueError):
-    def __init__(self, witness):
-        super().__init__(f"morphism does not respect relations: {witness}")
-        self.witness = witness
 
 
 Edge = Gen  # an edge of a complex is a generator of its fundamental groupoid
@@ -140,13 +123,6 @@ class GCellComplex:
     def _index(self) -> "CellIndex":
         """The integer cell index, built and checked once per complex."""
         return _cell_index(self)
-
-    def dimension_of(self, label: str) -> int:
-        idx = self._index
-        try:
-            return bisect_right(idx.start, idx.pos[label]) - 1
-        except KeyError:
-            raise InvalidComplex(f"no cell {label!r}") from None
 
     @cached_property
     def edge_by_label(self):
@@ -286,27 +262,6 @@ def _plain_complex(vertices, edges, faces, solids) -> GCellComplex:
     return GCellComplex(
         trivial_group(), tuple(vertices), tuple(edges), tuple(faces),
         tuple(solids), trivial_action(cells),
-    )
-
-
-def _relabel_word(w: Word, name) -> Word:
-    return Word(
-        tuple((name(lab), exp) for lab, exp in w.letters),
-        at=name(w.at) if w.at is not None else None,
-    )
-
-
-def _relabel_cells(x: GCellComplex, name) -> tuple:
-    """x's vertices, edges, faces and solids, as lists, with every label
-    passed through name."""
-    return (
-        [name(v) for v in x.vertices],
-        [Edge(name(e.label), name(e.source), name(e.target)) for e in x.edges],
-        [Face(name(f.label), _relabel_word(f.word, name)) for f in x.faces],
-        [
-            Solid(name(s.label), tuple((c, name(lab)) for c, lab in s.chain))
-            for s in x.solids
-        ],
     )
 
 
@@ -572,8 +527,7 @@ class CellularMap:
     vertex_map sends vertices to vertices, edge_map sends each edge to an
     edge word between the image vertices, and face_map (when present) sends
     each face to (face label, sign) or None for a face whose image word
-    collapses.  face_map is what makes 3-dimensional constructions
-    (cylinders) possible.
+    collapses.  Without face_map the map is checked on the 1-skeleton only.
     """
 
     source: GCellComplex
@@ -647,105 +601,14 @@ class CellularMap:
         return Word(expand_letters(w.letters, self.edge_map), at=at)
 
 
-def _inclusion(x: GCellComplex, into: GCellComplex, name) -> CellularMap:
-    """The map sending each cell of x to the cell of into labelled name(label)."""
+def identity_cellular_map(x: GCellComplex) -> CellularMap:
     return CellularMap(
         x,
-        into,
-        {v: name(v) for v in x.vertices},
-        {e.label: Word.gen(name(e.label)) for e in x.edges},
-        {c.label: (name(c.label), 1) for c in x.faces},
+        x,
+        {v: v for v in x.vertices},
+        {e.label: Word.gen(e.label) for e in x.edges},
+        {c.label: (c.label, 1) for c in x.faces},
     )
-
-
-def identity_cellular_map(x: GCellComplex) -> CellularMap:
-    return _inclusion(x, x, lambda lab: lab)
-
-
-def realize_morphism(t: GroupoidMorphism) -> CellularMap:
-    """Turn a groupoid morphism into a cellular map of presentation
-    complexes.  The face data exists exactly when the morphism is rigid:
-    every relator image either collapses or lands on a relator up to
-    rotation and inversion.  A morphism whose relator image is refutably
-    nontrivial raises RelationsRefuted."""
-    check = check_respects_relations(t)
-    if check.is_refuted:
-        raise RelationsRefuted(check.witness)
-    src = presentation_complex(t.source)
-    tgt = presentation_complex(t.target)
-    face_map = {}
-    rigid = True
-    for f, r in zip(src.faces, t.source.relators):
-        reduced = cyclic_reduce_letters(t.apply(r).letters)
-        if not reduced:
-            face_map[f.label] = None
-            continue
-        match = t.target.match_relator(reduced)
-        if match is None:
-            rigid = False
-            break
-        j, sign = match
-        face_map[f.label] = (tgt.faces[j].label, sign)
-    return CellularMap(
-        src,
-        tgt,
-        dict(t.object_map),
-        {g.label: t.generator_map[g.label] for g in t.source.generators},
-        face_map if rigid else None,
-    )
-
-
-def mapping_cylinder(f: CellularMap):
-    """The mapping cylinder of a cellular map between complexes without
-    symmetry: the target, a relabeled copy of the source on top, vertical
-    edges, one square per source edge, one solid per source face.
-
-    Returns (cylinder, source inclusion, target inclusion).
-    """
-    if f.source.group.order != 1 or f.target.group.order != 1:
-        raise InvalidComplex(
-            "mapping cylinders need complexes without group action; "
-            "pass quotiented or fixed-point complexes"
-        )
-    if f.source.solids:
-        raise InvalidComplex("mapping cylinder of a source with 3-cells needs 4-cells")
-    if f.source.faces and f.face_map is None:
-        raise MissingFaceMap(
-            "cylinder over a source with faces needs face data on the map"
-        )
-    bad = f.validate()
-    if bad.is_refuted:
-        raise InvalidComplex(f"cellular map invalid: {bad.witness}")
-
-    top = "top."
-    vert = "cyl."
-    top_v, top_e, top_f, _ = _relabel_cells(f.source, top.__add__)
-    vertices = list(f.target.vertices) + top_v
-    edges = list(f.target.edges) + top_e
-    edges += [
-        Edge(vert + v, top + v, f.vertex_map[v]) for v in f.source.vertices
-    ]
-    faces = list(f.target.faces) + top_f
-    for e in f.source.edges:
-        boundary = (
-            ((top + e.label, 1), (vert + e.target, 1))
-            + invert_letters(f.edge_map[e.label].letters)
-            + ((vert + e.source, -1),)
-        )
-        faces.append(Face(vert + e.label, Word(boundary)))
-    solids = list(f.target.solids)
-    for c in f.source.faces:
-        chain = [(1, top + c.label)]
-        entry = f.face_map[c.label] if f.face_map else None
-        if entry is not None:
-            lab, sign = entry
-            chain.append((-sign, lab))
-        chain += [(-exp, vert + lab) for lab, exp in c.word.letters]
-        solids.append(Solid(vert + c.label, _chain_normal(chain)))
-    cyl = _plain_complex(vertices, edges, faces, solids)
-    src_end = _inclusion(f.source, cyl, top.__add__)
-    tgt_end = _inclusion(f.target, cyl, lambda lab: lab)
-    return cyl, src_end, tgt_end
 
 
 class UnionFind:
@@ -774,132 +637,3 @@ class UnionFind:
             ra, rb = rb, ra
         self.parent[rb] = ra
         return True
-
-
-def glue(parts, identifications) -> GCellComplex:
-    """Quotient one or more complexes (over the same group) by identifying
-    same-dimension cells.  With several parts, labels are namespaced
-    "c0.", "c1.", ...  Identified cells are given as (label, label) pairs in
-    the namespaced labels; the identification is closed under the group
-    action.  Geometric incompatibility (mismatched dimensions or boundaries)
-    raises IncompatibleIdentification."""
-    if not parts:
-        raise ValueError("nothing to glue")
-    group = parts[0].group
-    for p in parts[1:]:
-        if p.group is not group and p.group != group:
-            raise IncompatibleIdentification("parts have different groups")
-
-    if len(parts) == 1:
-        x = parts[0]
-    else:
-        cells = ([], [], [], [])
-        action = {g: {} for g in group.elements()}
-        for i, p in enumerate(parts):
-            pre = f"c{i}."
-            for into, part in zip(cells, _relabel_cells(p, pre.__add__)):
-                into += part
-            for g in group.elements():
-                for lab, (img, sign) in p.action[g].items():
-                    action[g][pre + lab] = (pre + img, sign)
-        x = GCellComplex(group, *map(tuple, cells), action)
-
-    pos = x._index.pos
-    uf = UnionFind()
-    for lab in x.all_labels():
-        uf.add(lab)
-    queue = list(identifications)
-    while queue:
-        a, b = queue.pop()
-        if a not in pos or b not in pos:
-            raise IncompatibleIdentification(f"unknown cell in pair ({a!r}, {b!r})")
-        if x.dimension_of(a) != x.dimension_of(b):
-            raise IncompatibleIdentification(
-                f"cells {a!r} and {b!r} have different dimensions"
-            )
-        if uf.union(a, b):
-            for g in x.group.elements():
-                ia, sa = x.action[g][a]
-                ib, sb = x.action[g][b]
-                if sa != sb:
-                    raise IncompatibleIdentification(
-                        f"orientation conflict gluing {a!r} and {b!r} under element {g}"
-                    )
-                queue.append((ia, ib))
-
-    rep = uf.find
-    rep_vertices, rep_edges, rep_faces, rep_solids = _relabel_cells(x, rep)
-
-    vertices, seen = [], set()
-    for r in rep_vertices:
-        if r not in seen:
-            seen.add(r)
-            vertices.append(r)
-    edges, emap = [], {}
-    for cand in rep_edges:
-        r = cand.label
-        if r in emap:
-            if emap[r] != cand[1:]:
-                raise IncompatibleIdentification(
-                    f"edge {r!r} would get two different endpoint pairs"
-                )
-        else:
-            emap[r] = cand[1:]
-            edges.append(cand)
-    faces, fmap = [], {}
-    for r, w in rep_faces:
-        if r in fmap:
-            if not rotation_equal(fmap[r].letters, w.letters):
-                raise IncompatibleIdentification(
-                    f"face {r!r} would get two different attaching words"
-                )
-        else:
-            fmap[r] = w
-            faces.append(Face(r, w))
-    solids, smap = [], {}
-    for r, chain in rep_solids:
-        chain = _chain_normal(chain)
-        if r in smap:
-            if smap[r] != chain:
-                raise IncompatibleIdentification(
-                    f"solid {r!r} would get two different boundary chains"
-                )
-        else:
-            smap[r] = chain
-            solids.append(Solid(r, chain))
-    action = {}
-    for g in x.group.elements():
-        table = {}
-        for lab in x.all_labels():
-            r = rep(lab)
-            img, sign = x.action[g][lab]
-            entry = (rep(img), sign)
-            if r in table and table[r] != entry:
-                raise IncompatibleIdentification(
-                    f"action of {g} is inconsistent on glued cell {r!r}"
-                )
-            table[r] = entry
-        action[g] = table
-    glued = GCellComplex(
-        x.group, tuple(vertices), tuple(edges), tuple(faces), tuple(solids), action
-    )
-    check = validate_complex(glued)
-    if check.is_refuted:
-        raise IncompatibleIdentification(f"glued complex invalid: {check.witness}")
-    return glued
-
-
-def mapping_torus(f: CellularMap) -> GCellComplex:
-    """Mapping torus of a cellular self-map: the cylinder with its top glued
-    back onto the bottom."""
-    if f.source is not f.target and f.source != f.target:
-        raise InvalidComplex("mapping torus needs a self-map")
-    cyl, src_end, _ = mapping_cylinder(f)
-    pairs = [(src_end.vertex_map[v], v) for v in f.source.vertices]
-    pairs += [
-        (src_end.edge_map[e.label].letters[0][0], e.label) for e in f.source.edges
-    ]
-    pairs += [
-        (src_end.face_map[c.label][0], c.label) for c in f.source.faces
-    ]
-    return glue([cyl], pairs)

@@ -20,7 +20,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .complexes import GCellComplex, CellularMap, fixed_subcomplex, fundamental_groupoid
+from .complexes import (
+    CellularMap,
+    GCellComplex,
+    InvalidComplex,
+    fixed_subcomplex,
+    fundamental_groupoid,
+)
 from .groups import Subgroup, family_all
 from .groupoids import (
     GroupoidMorphism,
@@ -337,11 +343,15 @@ def induced_transformation(
     f: CellularMap, family=None
 ) -> NaturalTransformation:
     """Natural transformation of induced functors coming from an equivariant
-    cellular map between complexes over the same group.  Equivariance is
-    checked cell by cell and NotEquivariant raised on failure."""
+    cellular map between complexes over the same group.  A map that
+    CellularMap.validate refutes raises InvalidComplex; equivariance is
+    then checked cell by cell and NotEquivariant raised on failure."""
     x, y = f.source, f.target
     if x.group != y.group:
         raise NotEquivariant("source and target have different groups")
+    bad = f.validate()
+    if bad.is_refuted:
+        raise InvalidComplex(f"cellular map invalid: {bad.witness}")
     for g in x.group.elements():
         for v in x.vertices:
             if f.vertex_map[x.action[g][v][0]] != y.action[g][f.vertex_map[v]][0]:

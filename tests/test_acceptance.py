@@ -14,8 +14,6 @@ from eqpi1.cli import main
 from eqpi1.complexes import (
     fundamental_groupoid,
     homology_of_complex,
-    identity_cellular_map,
-    mapping_torus,
     presentation_complex,
     validate_complex,
 )
@@ -123,14 +121,6 @@ def test_single_object_realizations_recover_classifying_spaces():
         assert ver.combined.status == VERIFIED
         pre = presentation_complex(g)
         assert homology_strings(pre, max_dim=2) == expected[name]
-
-
-def test_identity_mapping_torus_of_torus_is_three_torus():
-    x = presentation_complex(torus_groupoid())
-    t3 = mapping_torus(identity_cellular_map(x))
-    assert validate_complex(t3).status == VERIFIED
-    assert t3.cell_counts() == (1, 3, 3, 1)
-    assert homology_strings(t3) == ["Z", "Z^3", "Z^3", "Z"]
 
 
 def test_orbit_category_laws_exhaustively():

@@ -189,24 +189,17 @@ def test_cell_index_is_built_once(bench_inputs, monkeypatch):
     # fixed subcomplex, a complex of its own, is indexed once
     (x,) = parse_document(bench_inputs.cone(6, 0)).complexes.values()
     f = induced_functor_from_complex(x, family_all(x.group))
-    builds, dims = [], []
+    builds = []
     build = complexes._cell_index
-    dimension_of = GCellComplex.dimension_of
 
     def counted_build(y):
         builds.append(y)
         return build(y)
 
-    def counted_dimension_of(y, label):
-        dims.append(label)
-        return dimension_of(y, label)
-
     monkeypatch.setattr(complexes, "_cell_index", counted_build)
-    monkeypatch.setattr(GCellComplex, "dimension_of", counted_dimension_of)
     space = build_space(f).space
     assert space.cell_counts() == (7, 72, 468, 216)
     assert validate_complex(space).status == VERIFIED
     fixed = [fixed_subcomplex(space, f.category.subgroups[h]) for h in f.category.objects]
     assert [y is space for y in builds] == [True] + [False] * len(fixed)
     assert all(any(y is b for b in builds) for y in fixed)
-    assert dims == []

@@ -5,26 +5,19 @@ from eqpi1.complexes import (
     Edge,
     Face,
     GCellComplex,
-    IncompatibleIdentification,
     InvalidComplex,
-    MissingFaceMap,
-    RelationsRefuted,
     Solid,
     boundary_matrices,
     describe_homology,
     fixed_subcomplex,
     fundamental_groupoid,
-    glue,
     homology_of_complex,
     identity_cellular_map,
-    mapping_cylinder,
-    mapping_torus,
     presentation_complex,
-    realize_morphism,
     trivial_action,
     validate_complex,
 )
-from eqpi1.groupoids import Gen, GroupoidMorphism, PresentedGroupoid, Word
+from eqpi1.groupoids import Gen, PresentedGroupoid, Word
 from eqpi1.groups import Subgroup, cyclic_group, trivial_group
 from eqpi1.intlinalg import NotAChainComplex
 from eqpi1.verdicts import LEVEL_SYNTACTIC, VERIFIED
@@ -48,12 +41,6 @@ def circle_complex():
         (),
         (),
         trivial_action(["v", "a"]),
-    )
-
-
-def point_complex():
-    return GCellComplex(
-        trivial_group(), ("w",), (), (), (), trivial_action(["w"])
     )
 
 
@@ -116,9 +103,6 @@ def test_cell_bookkeeping():
     assert x.cell_counts() == (1, 2, 1, 0)
     assert x.euler_characteristic() == 0
     assert list(x.all_labels()) == ["u", "a", "b", "rel0"]
-    assert x.dimension_of("rel0") == 2
-    with pytest.raises(InvalidComplex):
-        x.dimension_of("nope")
     assert x.action[0]["a"] == ("a", 1)
     w = x.translate_word(0, Word(TORUS_RELATOR, at="u"))
     assert w.letters == TORUS_RELATOR and w.at == "u"
@@ -514,189 +498,3 @@ def test_cellular_map_validate_witnesses(make, witness):
     v = make().validate()
     assert v.is_refuted and v.level == LEVEL_SYNTACTIC
     assert v.witness == witness
-
-
-def test_realize_morphism_flip():
-    g = torus_groupoid()
-    flip = GroupoidMorphism(
-        g, g, {"u": "u"}, {"a": Word.gen("a", -1), "b": Word.gen("b")}
-    )
-    f = realize_morphism(flip)
-    assert f.validate().status == VERIFIED
-    assert f.face_map == {"rel0": ("rel0", -1)}
-
-
-def test_realize_morphism_refuted():
-    z2 = PresentedGroupoid(
-        ("u",), (Gen("x", "u", "u"),), (Word((("x", 1), ("x", 1)), at="u"),)
-    )
-    z = PresentedGroupoid(("u",), (Gen("x", "u", "u"),), ())
-    unroll = GroupoidMorphism(z2, z, {"u": "u"}, {"x": Word.gen("x")})
-    with pytest.raises(RelationsRefuted):
-        realize_morphism(unroll)
-
-
-def test_realize_morphism_nonrigid():
-    a6 = PresentedGroupoid(
-        ("u",), (Gen("a", "u", "u"),), (Word((("a", 1),) * 6, at="u"),)
-    )
-    x3 = PresentedGroupoid(
-        ("u",), (Gen("x", "u", "u"),), (Word((("x", 1),) * 3, at="u"),)
-    )
-    halve = GroupoidMorphism(
-        a6, x3, {"u": "u"}, {"a": Word((("x", 1), ("x", 1)))}
-    )
-    f = realize_morphism(halve)
-    assert f.face_map is None
-    assert f.validate().is_undecided
-    with pytest.raises(MissingFaceMap):
-        mapping_cylinder(f)
-
-
-def test_mapping_cylinder_circle():
-    circle = circle_complex()
-    cyl, src_end, tgt_end = mapping_cylinder(identity_cellular_map(circle))
-    assert validate_complex(cyl).status == VERIFIED
-    assert cyl.cell_counts() == (2, 3, 1, 0)
-    assert homology_strings(cyl, max_dim=2) == ["Z", "Z", "0"]
-    assert src_end.validate().status == VERIFIED
-    assert tgt_end.validate().status == VERIFIED
-    assert src_end.vertex_map == {"v": "top.v"}
-
-    crush = CellularMap(
-        circle, point_complex(), {"v": "w"}, {"a": Word((), at="w")}, {}
-    )
-    disc, _, _ = mapping_cylinder(crush)
-    assert homology_strings(disc, max_dim=2) == ["Z", "0", "0"]
-
-
-def test_mapping_cylinder_guards():
-    z2 = cyclic_group(2)
-    sym = GCellComplex(
-        z2, ("p", "q"), (), (), (),
-        {
-            0: {"p": ("p", 1), "q": ("q", 1)},
-            1: {"p": ("q", 1), "q": ("p", 1)},
-        },
-    )
-    swap = CellularMap(sym, sym, {"p": "q", "q": "p"}, {}, {})
-    with pytest.raises(InvalidComplex):
-        mapping_cylinder(swap)
-    x = presentation_complex(torus_groupoid())
-    torus3 = mapping_torus(identity_cellular_map(x))
-    self_map = identity_cellular_map(torus3)
-    with pytest.raises(InvalidComplex):
-        mapping_cylinder(self_map)
-
-
-def test_mapping_torus_circle():
-    torus = mapping_torus(identity_cellular_map(circle_complex()))
-    assert validate_complex(torus).status == VERIFIED
-    assert homology_strings(torus, max_dim=2) == ["Z", "Z^2", "Z"]
-
-
-def test_mapping_torus_of_torus_identity():
-    x = presentation_complex(torus_groupoid())
-    t3 = mapping_torus(identity_cellular_map(x))
-    assert validate_complex(t3).status == VERIFIED
-    assert t3.cell_counts() == (1, 3, 3, 1)
-    assert homology_strings(t3) == ["Z", "Z^3", "Z^3", "Z"]
-
-
-def test_mapping_torus_of_torus_flip():
-    g = torus_groupoid()
-    flip = GroupoidMorphism(
-        g, g, {"u": "u"}, {"a": Word.gen("a", -1), "b": Word.gen("b")}
-    )
-    m = mapping_torus(realize_morphism(flip))
-    assert validate_complex(m).status == VERIFIED
-    assert homology_strings(m) == ["Z", "Z^2 + Z/2", "Z + Z/2", "0"]
-
-
-def test_glue_wedge_of_circles():
-    c = circle_complex()
-    wedge = glue([c, c], [("c0.v", "c1.v")])
-    assert validate_complex(wedge).status == VERIFIED
-    assert wedge.cell_counts() == (1, 2, 0, 0)
-    assert homology_strings(wedge, max_dim=1) == ["Z", "Z^2"]
-
-
-def test_glue_interval_into_circle():
-    interval = GCellComplex(
-        trivial_group(), ("p", "q"), (Edge("e", "p", "q"),), (), (),
-        trivial_action(["p", "q", "e"]),
-    )
-    circle = glue([interval], [("p", "q")])
-    assert circle.cell_counts() == (1, 1, 0, 0)
-    assert circle.vertices == ("p",)
-    assert homology_strings(circle, max_dim=1) == ["Z", "Z"]
-
-
-def test_glue_closes_under_action():
-    z2 = cyclic_group(2)
-    refl = GCellComplex(
-        z2, ("p", "q"),
-        (Edge("a", "p", "q"), Edge("b", "p", "q")),
-        (), (),
-        {
-            0: {lab: (lab, 1) for lab in ("p", "q", "a", "b")},
-            1: {"p": ("p", 1), "q": ("q", 1), "a": ("b", 1), "b": ("a", 1)},
-        },
-    )
-    glued = glue(
-        [refl, refl],
-        [("c0.p", "c1.p"), ("c0.q", "c1.q"), ("c0.a", "c1.a")],
-    )
-    # the swapped partner edge is identified automatically
-    assert glued.cell_counts() == (2, 2, 0, 0)
-    assert {e.label for e in glued.edges} == {"c0.a", "c0.b"}
-    assert validate_complex(glued).status == VERIFIED
-
-
-def test_glue_conflicts():
-    c = circle_complex()
-    with pytest.raises(IncompatibleIdentification):
-        glue([c, c], [("c0.v", "c1.a")])
-    with pytest.raises(IncompatibleIdentification):
-        glue([c], [("v", "zz")])
-    interval = GCellComplex(
-        trivial_group(), ("p", "q"), (Edge("e", "p", "q"),), (), (),
-        trivial_action(["p", "q", "e"]),
-    )
-    with pytest.raises(IncompatibleIdentification):
-        # edges glued without gluing their endpoints
-        glue([interval, interval], [("c0.e", "c1.e"), ("c0.p", "c1.p")])
-    with pytest.raises(ValueError):
-        glue([], [])
-
-
-def test_glue_orientation_conflict():
-    z2 = cyclic_group(2)
-    x = GCellComplex(
-        z2, ("p", "q"),
-        (
-            Edge("a", "p", "q"), Edge("b", "q", "p"),
-            Edge("c", "p", "q"), Edge("d", "p", "q"),
-        ),
-        (), (),
-        {
-            0: {lab: (lab, 1) for lab in ("p", "q", "a", "b", "c", "d")},
-            1: {
-                "p": ("q", 1), "q": ("p", 1),
-                "a": ("b", 1), "b": ("a", 1),
-                "c": ("d", -1), "d": ("c", -1),
-            },
-        },
-    )
-    assert validate_complex(x).status == VERIFIED
-    with pytest.raises(IncompatibleIdentification):
-        glue([x], [("a", "c")])
-
-
-def test_mapping_torus_needs_self_map():
-    circle = circle_complex()
-    crush = CellularMap(
-        circle, point_complex(), {"v": "w"}, {"a": Word((), at="w")}, {}
-    )
-    with pytest.raises(InvalidComplex):
-        mapping_torus(crush)

@@ -5,6 +5,7 @@ from eqpi1.complexes import (
     CellularMap,
     Edge,
     GCellComplex,
+    InvalidComplex,
     identity_cellular_map,
     trivial_action,
 )
@@ -236,6 +237,25 @@ def test_induced_transformation_needs_same_group():
     bad = CellularMap(x, circle, {"p": "v", "q": "v"}, {}, {})
     with pytest.raises(NotEquivariant):
         induced_transformation(bad)
+
+
+@pytest.mark.parametrize(
+    "vertex_map, edge_map, check",
+    [
+        ({"v": "v"}, {}, "edge image missing"),
+        ({"v": "zz"}, {"a": Word.gen("a")}, "vertex image"),
+        ({"v": "v"}, {"a": Word.gen("b")}, "edge image composable"),
+    ],
+    ids=["edge-image-missing", "vertex-off-target", "edge-image-unknown"],
+)
+def test_induced_transformation_refuses_invalid_map(vertex_map, edge_map, check):
+    circle = GCellComplex(
+        trivial_group(), ("v",), (Edge("a", "v", "v"),), (), (),
+        trivial_action(["v", "a"]),
+    )
+    f = CellularMap(circle, circle, vertex_map, edge_map, {})
+    with pytest.raises(InvalidComplex, match=f"'check': '{check}'"):
+        induced_transformation(f)
 
 
 def test_equivalence_of_functors_refuted_on_collapse():

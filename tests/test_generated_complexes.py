@@ -21,12 +21,15 @@ in tests/test_action_generators.py.
 The properties: validate_complex agrees with tests/naive_validate.py,
 fixed_subcomplex agrees with tests/naive_fixed.py for every subgroup,
 and the Euler characteristic is the alternating sum of the free ranks of
-H_0..H_3.
+H_0..H_3.  When every fixed set is a subcomplex, the induced functor
+obeys the functor laws, and its realization validates, induces a functor
+that the comparison never refutes, and has the H_3 of the homotopy
+coend.
 """
 
 from collections import deque
 
-from hypothesis import given, settings
+from hypothesis import event, given, reject, settings
 from hypothesis import strategies as st
 from test_action_generators import corrupt, same_verdict
 from test_cell_index import same_fixed
@@ -35,12 +38,16 @@ from eqpi1.complexes import (
     Edge,
     Face,
     GCellComplex,
+    InvalidComplex,
     Solid,
     cell_names,
     homology_of_complex,
+    validate_complex,
 )
+from eqpi1.functors import induced_functor_from_complex, validate_functoriality
 from eqpi1.groupoids import Word, invert_letters
 from eqpi1.groups import cyclic_group, subgroup_closure, symmetric_group
+from eqpi1.realize import build_homotopy_coend, build_space, verify_fundamental_functor
 from eqpi1.verdicts import VERIFIED
 
 GROUPS = tuple(cyclic_group(n) for n in range(1, 7)) + (symmetric_group(3),)
@@ -212,6 +219,25 @@ def test_generated_complexes_verify_like_the_oracle(x):
 def test_euler_characteristic_is_the_alternating_sum_of_ranks(x):
     ranks = [h.group.rank for h in homology_of_complex(x)]
     assert x.euler_characteristic() == ranks[0] - ranks[1] + ranks[2] - ranks[3]
+
+
+@given(x=g_complexes())
+@settings(deadline=None, max_examples=60)  # about 1 s
+def test_realization_of_the_induced_functor(x):
+    try:
+        f = induced_functor_from_complex(x)
+    except InvalidComplex as e:
+        # a face with rotational isotropy is fixed while its edges are not
+        assert str(e).startswith("fixed cells are not a subcomplex")
+        reject()
+    assert not validate_functoriality(f).is_refuted
+    result = build_space(f)
+    assert validate_complex(result.space).status == VERIFIED
+    combined = verify_fundamental_functor(f, result).combined
+    event(f"comparison {combined.status}")
+    assert not combined.is_refuted
+    h3 = homology_of_complex(result.space)[3].group
+    assert h3 == homology_of_complex(build_homotopy_coend(f))[3].group
 
 
 @given(data=st.data())
