@@ -168,16 +168,13 @@ def cmd_realize(args) -> int:
         for line in _homology_lines(space, max_dim=args.max_dim):
             hom.say(line)
 
-    if args.max_dim >= 2:
-        check = verify_fundamental_functor(functor, result)
-        ver = report.add(
-            Report("fixed-point functor comparison", informational=True)
-        )
-        ver.say(f"naturality: {check.naturality}")
-        for hid in sorted(check.equivalence):
-            ver.say(f"subgroup {hid}: equivalence {check.equivalence[hid]}")
-            ver.say(f"subgroup {hid}: strict {check.strict[hid]}")
-        ver.say(f"combined: {check.combined}")
+    check = verify_fundamental_functor(functor, result)
+    ver = report.add(Report("fixed-point functor comparison", informational=True))
+    ver.say(f"naturality: {check.naturality}")
+    for hid in sorted(check.equivalence):
+        ver.say(f"subgroup {hid}: equivalence {check.equivalence[hid]}")
+        ver.say(f"subgroup {hid}: strict {check.strict[hid]}")
+    ver.say(f"combined: {check.combined}")
 
     if args.emit_dot:
         with open(args.emit_dot, "w", encoding="utf-8") as fh:

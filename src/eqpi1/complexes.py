@@ -36,7 +36,7 @@ from .groupoids import (
     walk_word,
 )
 from .intlinalg import NotAChainComplex, SparseMatrix, unchecked_homology
-from .verdicts import LEVEL_SYNTACTIC, Verdict, combine
+from .verdicts import LEVEL_SYNTACTIC, Verdict
 
 
 class InvalidComplex(ValueError):
@@ -172,11 +172,24 @@ class GCellComplex:
         ]
 
     @cached_property
+    def _open_face(self):
+        """The witness of the first face whose attaching word is not a
+        closed edge path, or None; walked once per complex."""
+        for f in self.faces:
+            first, last, broken = walk_word(self.edge_by_label, f.word)
+            if broken is not None:
+                return {"check": "face word composable", "face": f.label, "letter": broken}
+            if first != last:
+                return {"check": "face word closed", "face": f.label, "ends": (first, last)}
+        return None
+
+    @cached_property
     def _chain_defect(self):
         """The least degree i with d_i * d_{i+1} != 0, or None; checked once
-        per complex."""
+        per complex.  d1 * d2 is multiplied only when a face word is open:
+        d1 of a closed edge path telescopes to zero."""
         d = self._boundaries
-        for i in (1, 2):
+        for i in (1, 2) if self._open_face else (2,):
             if not (d[i - 1] * d[i]).is_zero():
                 return i
         return None
@@ -364,22 +377,8 @@ def validate_complex(x: GCellComplex) -> Verdict:
     composed permutation and sign lists with those of s*h, and the
     identity and orientation checks read the stabilizer masks and the
     first cell fixed with sign -1 found when the index was built."""
-    verdicts = []
-
-    for f in x.faces:
-        first, last, broken = walk_word(x.edge_by_label, f.word)
-        if broken is not None:
-            return Verdict.refuted(
-                {"check": "face word composable", "face": f.label, "letter": broken},
-                LEVEL_SYNTACTIC,
-            )
-        if first != last:
-            return Verdict.refuted(
-                {"check": "face word closed", "face": f.label, "ends": (first, last)},
-                LEVEL_SYNTACTIC,
-            )
-    verdicts.append(Verdict.verified(LEVEL_SYNTACTIC))
-
+    if x._open_face is not None:
+        return Verdict.refuted(x._open_face, LEVEL_SYNTACTIC)
     e_bit = 1 << x.group.identity
     for i, mask in enumerate(x._index.stab):
         if not mask & e_bit:
@@ -389,14 +388,10 @@ def validate_complex(x: GCellComplex) -> Verdict:
             )
     if _action_refutation(x, x.group.generators) is not None:
         return _action_refutation(x, x.group.elements())
-    verdicts.append(Verdict.verified(LEVEL_SYNTACTIC))
-
     bad = x._chain_defect
     if bad is not None:
         return Verdict.refuted({"check": f"d{bad}*d{bad + 1} = 0"}, LEVEL_SYNTACTIC)
-    verdicts.append(Verdict.verified(LEVEL_SYNTACTIC))
-
-    return combine(verdicts)
+    return Verdict.verified(LEVEL_SYNTACTIC)
 
 
 def boundary_matrices(x: GCellComplex, max_dim: int = 3):

@@ -19,6 +19,7 @@ fixed cells by g.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .complexes import (
     CellularMap,
@@ -43,7 +44,7 @@ from .groupoids import (
     words_equal_verdict,
 )
 from .orbit import OrbitCategory, OrbitMorphism
-from .verdicts import LEVEL_SYNTACTIC, Verdict, combine
+from .verdicts import LEVEL_SYNTACTIC, Verdict, first_refuted
 
 
 class MissingValue(ValueError):
@@ -138,17 +139,6 @@ def make_functor(category: OrbitCategory, values: dict, arrows: dict) -> OrbFunc
     return OrbFunctor(category, vals, done)
 
 
-_SYNTACTICALLY_EQUAL = Verdict.verified(LEVEL_SYNTACTIC)
-
-
-def _images_differ(label: str, v: Verdict) -> Verdict:
-    return Verdict.refuted(
-        {"detail": "generator images differ", "generator": label,
-         **(v.witness or {})},
-        v.level,
-    )
-
-
 def _images_off_composite(
     direct: GroupoidMorphism, first: GroupoidMorphism, second: GroupoidMorphism
 ):
@@ -179,18 +169,16 @@ def _same_as_composite(
              "maps": (direct.object_map, object_map)},
             LEVEL_SYNTACTIC,
         )
-    verdicts = []
-    for label, w in _images_off_composite(direct, first, second):
-        v = words_equal_verdict(
-            direct.target, direct.generator_map[label],
-            second.target.free_reduce(second.apply(w)),
-        )
-        if v.is_refuted:
-            return _images_differ(label, v)
-        verdicts.append(v)
     # equal reduced letters verify at the syntactic level, the level
-    # combine() reports when nothing weaker is appended
-    return combine(verdicts) if verdicts else _SYNTACTICALLY_EQUAL
+    # first_refuted() reports when no generator is compared
+    return first_refuted(
+        ({"detail": "generator images differ", "generator": label},
+         words_equal_verdict(
+             direct.target, direct.generator_map[label],
+             second.target.free_reduce(second.apply(w)),
+         ))
+        for label, w in _images_off_composite(direct, first, second)
+    )
 
 
 def _equal_as_free(
@@ -247,32 +235,28 @@ def validate_functoriality(f: OrbFunctor) -> Verdict:
                 {"check": "arrow endpoints", "at": str(m)}, LEVEL_SYNTACTIC
             )
     if _laws_hold_freely(f):
-        return combine([])
-    verdicts = []
+        return Verdict.verified(LEVEL_SYNTACTIC)
+    return first_refuted(_law_checks(f))
+
+
+def _law_checks(f: OrbFunctor):
+    """(context, verdict) of every identity law, then of every composition
+    law, beta-major in morphisms() order, each compared when reached."""
+    cat, arrows = f.category, f.arrows
     for hid in cat.objects:
-        t = f.arrows[cat.identity(hid)]
         ident = identity_morphism(f.values[hid])
-        v = _same_as_composite(t, ident, ident)
-        if v.is_refuted:
-            return Verdict.refuted(
-                {"check": "identity law", "id": hid, **(v.witness or {})}, v.level
-            )
-        if v != _SYNTACTICALLY_EQUAL:
-            verdicts.append(v)
+        yield (
+            {"check": "identity law", "id": hid},
+            _same_as_composite(arrows[cat.identity(hid)], ident, ident),
+        )
     for beta in cat.morphisms():
-        t_beta = f.arrows[beta]
         for alpha in cat.into[beta.source]:
-            direct = f.arrows[cat.compose(beta, alpha)]
-            v = _same_as_composite(direct, t_beta, f.arrows[alpha])
-            if v.is_refuted:
-                return Verdict.refuted(
-                    {"check": "composition law", "pair": (str(beta), str(alpha)),
-                     **(v.witness or {})},
-                    v.level,
-                )
-            if v != _SYNTACTICALLY_EQUAL:
-                verdicts.append(v)
-    return combine(verdicts)
+            yield (
+                {"check": "composition law", "pair": (str(beta), str(alpha))},
+                _same_as_composite(
+                    arrows[cat.compose(beta, alpha)], arrows[beta], arrows[alpha]
+                ),
+            )
 
 
 def induced_functor_from_complex(x: GCellComplex, family=None) -> OrbFunctor:
@@ -322,21 +306,20 @@ class NaturalTransformation:
                 return Verdict.refuted(
                     {"check": "component endpoints", "id": hid}, LEVEL_SYNTACTIC
                 )
-        verdicts = []
-        for m in cat.morphisms():
-            hid, kid = m.source, m.target
-            left = compose_morphisms(self.components[hid], self.source.arrows[m])
-            c_k, g_m = self.components[kid], self.target.arrows[m]
+        return first_refuted(self._squares())
+
+    def _squares(self):
+        """(context, verdict) of the square of each m: G/H -> G/K in
+        morphisms() order: is eta_H after F(m) the same arrow as G(m)
+        after eta_K?  The left side is built, the right is not."""
+        for m in self.source.category.morphisms():
+            left = compose_morphisms(self.components[m.source], self.source.arrows[m])
+            c_k, g_m = self.components[m.target], self.target.arrows[m]
             check_composable(g_m, c_k)
-            v = _same_as_composite(left, c_k, g_m)
-            if v.is_refuted:
-                return Verdict.refuted(
-                    {"check": "naturality square", "at": str(m), **(v.witness or {})},
-                    v.level,
-                )
-            if v != _SYNTACTICALLY_EQUAL:
-                verdicts.append(v)
-        return combine(verdicts)
+            yield (
+                {"check": "naturality square", "at": str(m)},
+                _same_as_composite(left, c_k, g_m),
+            )
 
 
 def induced_transformation(
@@ -381,15 +364,8 @@ def induced_transformation(
 def equivalence_of_functors(eta: NaturalTransformation) -> Verdict:
     """Is a natural transformation an objectwise equivalence?  Naturality
     first, then the componentwise equivalence reports."""
-    nat = eta.naturality()
-    if nat.is_refuted:
-        return nat
-    verdicts = [nat]
-    for hid in eta.source.category.objects:
-        v = equivalence_report(eta.components[hid])
-        if v.is_refuted:
-            return Verdict.refuted(
-                {"component": hid, **(v.witness or {})}, v.level
-            )
-        verdicts.append(v)
-    return combine(verdicts)
+    return first_refuted(chain(
+        [({}, eta.naturality())],
+        (({"component": hid}, equivalence_report(eta.components[hid]))
+         for hid in eta.source.category.objects),
+    ))

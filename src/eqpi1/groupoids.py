@@ -37,6 +37,7 @@ from .verdicts import (
     LEVEL_SYNTACTIC,
     Verdict,
     combine,
+    first_refuted,
 )
 
 
@@ -304,22 +305,15 @@ def simplify_presentation(pres: GroupPresentation):
 def certified_abelian(pres: GroupPresentation) -> bool:
     """True only when the presentation visibly forces commutativity: at most
     one generator, or an explicit commutator relator for every pair."""
-    n = len(pres.generators)
-    if n <= 1:
-        return True
     have = {canonical_cyclic(r) for r in pres.relators}
-    for i in range(n):
-        for j in range(i + 1, n):
-            a, b = pres.generators[i], pres.generators[j]
-            ok = False
-            for ea in (1, -1):
-                for eb in (1, -1):
-                    comm = ((a, ea), (b, eb), (a, -ea), (b, -eb))
-                    if canonical_cyclic(comm) in have:
-                        ok = True
-            if not ok:
-                return False
-    return True
+    # the four commutators [a^+-1, b^+-1] are rotations or inversions of
+    # one another, so they share the key of [a, b]
+    gens = pres.generators
+    return all(
+        canonical_cyclic(((a, 1), (b, 1), (a, -1), (b, -1))) in have
+        for i, a in enumerate(gens)
+        for b in gens[i + 1:]
+    )
 
 
 @dataclass(frozen=True)
@@ -611,15 +605,10 @@ def _loop_vanishes(p: PresentedGroupoid, w: Word) -> Verdict:
 
 
 def check_respects_relations(t: GroupoidMorphism) -> Verdict:
-    verdicts = []
-    for i, r in enumerate(t.source.relators):
-        v = _loop_vanishes(t.target, t.apply(r))
-        if v.is_refuted:
-            return Verdict.refuted(
-                {"relator": i, "word": str(r), **v.witness}, v.level
-            )
-        verdicts.append(v)
-    return combine(verdicts)
+    return first_refuted(
+        ({"relator": i, "word": str(r)}, _loop_vanishes(t.target, t.apply(r)))
+        for i, r in enumerate(t.source.relators)
+    )
 
 
 def words_equal_verdict(p: PresentedGroupoid, w1: Word, w2: Word) -> Verdict:

@@ -15,20 +15,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .verdicts import (
-    REFUTED,
-    UNDECIDED,
-    VERIFIED,
-    Verdict,
-)
+from .verdicts import Verdict, combine
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
 EXIT_UNDECIDED = 2
 EXIT_INPUT = 3
 EXIT_INTERNAL = 4
-
-_ORDER = {REFUTED: 2, UNDECIDED: 1, VERIFIED: 0}
 
 
 @dataclass
@@ -46,28 +39,22 @@ class Report:
     def say(self, line: str):
         self.lines.append(line)
 
-    def worst(self):
-        """Worst counted verdict status in this subtree, or None."""
-        statuses = []
-        if self.verdict is not None and not self.informational:
-            statuses.append(self.verdict.status)
+    def _counted(self):
+        """The verdicts of this subtree outside informational nodes."""
+        if self.informational:
+            return
+        if self.verdict is not None:
+            yield self.verdict
         for c in self.children:
-            if self.informational:
-                break
-            w = c.worst()
-            if w is not None:
-                statuses.append(w)
-        if not statuses:
-            return None
-        return max(statuses, key=_ORDER.__getitem__)
+            yield from c._counted()
 
     def exit_code(self, strict: bool = False) -> int:
-        w = self.worst()
-        if w is None or w == VERIFIED:
-            return EXIT_OK
-        if w == REFUTED:
+        v = combine(self._counted())
+        if v.is_refuted:
             return EXIT_REFUTED
-        return EXIT_REFUTED if strict else EXIT_UNDECIDED
+        if v.is_undecided:
+            return EXIT_REFUTED if strict else EXIT_UNDECIDED
+        return EXIT_OK
 
     def render_text(self, indent: int = 0) -> str:
         pad = "  " * indent

@@ -8,6 +8,12 @@ reduced-word equality, a loop that matches a relator up to rotation, or a
 loop whose rewrite over the spanning tree of its component is empty; so a
 syntactic verdict does not by itself say that two words are equal in the
 free groupoid.
+
+Many checks become one answer by one policy: the first refutation wins,
+else any undecided result, else Verified at the weakest level.  combine()
+applies it to finished verdicts; first_refuted() applies it to a lazy
+scan of (context, verdict) checks, stops at the first refutation and
+puts the check's context in front of its witness.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ class Verdict:
 
     @staticmethod
     def verified(level: str = LEVEL_SYNTACTIC) -> "Verdict":
-        return Verdict(VERIFIED, level)
+        return _VERIFIED[level]
 
     @staticmethod
     def refuted(witness, level: str = LEVEL_SYNTACTIC) -> "Verdict":
@@ -61,6 +67,11 @@ class Verdict:
         return out
 
 
+# one Verified verdict per level: verdicts are immutable, and the scans
+# that produce one per check need not build it each time
+_VERIFIED = {level: Verdict(VERIFIED, level) for level in _LEVEL_RANK}
+
+
 def combine(verdicts) -> Verdict:
     """Aggregate: any Refuted wins, then any Undecided, else Verified at the
     weakest contributing evidence level."""
@@ -75,3 +86,16 @@ def combine(verdicts) -> Verdict:
         return Verdict.verified()
     level = max((v.level for v in verdicts), key=_LEVEL_RANK.__getitem__)
     return Verdict.verified(level)
+
+
+def first_refuted(checks) -> Verdict:
+    """The first refuted verdict of checks, an iterable of (context dict,
+    verdict) pairs, with the context's keys before the witness's; checks
+    after it are never evaluated.  Without a refutation, combine() of all
+    the verdicts."""
+    verdicts = []
+    for context, v in checks:
+        if v.is_refuted:
+            return Verdict.refuted({**context, **(v.witness or {})}, v.level)
+        verdicts.append(v)
+    return combine(verdicts)

@@ -8,9 +8,18 @@ compares an arrow with a composite it never builds, and the tests require
 both to give the same verdict.
 """
 
-from eqpi1.functors import _SYNTACTICALLY_EQUAL, _images_differ
 from eqpi1.groupoids import GroupoidMorphism, compose_morphisms, words_equal_verdict
 from eqpi1.verdicts import LEVEL_SYNTACTIC, Verdict, combine
+
+_SYNTACTICALLY_EQUAL = Verdict.verified(LEVEL_SYNTACTIC)
+
+
+def _images_differ(label: str, v: Verdict) -> Verdict:
+    return Verdict.refuted(
+        {"detail": "generator images differ", "generator": label,
+         **(v.witness or {})},
+        v.level,
+    )
 
 
 def _same_morphism(a: GroupoidMorphism, b: GroupoidMorphism) -> Verdict:

@@ -29,12 +29,14 @@ from eqpi1.complexes import (
     InvalidComplex,
     cell_names,
     fixed_subcomplex,
+    homology_of_complex,
     validate_complex,
 )
 from eqpi1.documents import parse_document, parse_path
 from eqpi1.functors import induced_functor_from_complex
 from eqpi1.groupoids import Word
 from eqpi1.groups import cyclic_group, family_all, trivial_group
+from eqpi1.intlinalg import SparseMatrix
 from eqpi1.realize import build_space
 from eqpi1.verdicts import VERIFIED
 
@@ -203,3 +205,21 @@ def test_cell_index_is_built_once(bench_inputs, monkeypatch):
     fixed = [fixed_subcomplex(space, f.category.subgroups[h]) for h in f.category.objects]
     assert [y is space for y in builds] == [True] + [False] * len(fixed)
     assert all(any(y is b for b in builds) for y in fixed)
+
+
+def test_chain_check_multiplies_once(bench_inputs, monkeypatch):
+    # the face words of the realized cone C6 are closed edge paths, so
+    # validation and homology multiply d2 * d3 and never d1 * d2
+    (x,) = parse_document(bench_inputs.cone(6, 0)).complexes.values()
+    space = realized(x)
+    products = []
+    mul = SparseMatrix.mul
+
+    def counted_mul(a, b):
+        products.append((a.rows, b.cols))
+        return mul(a, b)
+
+    monkeypatch.setattr(SparseMatrix, "mul", counted_mul)
+    assert validate_complex(space).status == VERIFIED
+    assert [str(h) for h in homology_of_complex(space)] == ["Z", "0", "Z^186", "0"]
+    assert products == [(72, 216)]

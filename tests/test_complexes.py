@@ -244,9 +244,17 @@ def test_validate_boundary_of_boundary():
         tg, ("p", "q"), (Edge("a", "p", "q"),), (Face("c", Word.gen("a")),), (),
         trivial_action(["p", "q", "a", "c"]),
     )
-    with pytest.raises(NotAChainComplex) as caught:
-        homology_of_complex(open_face, max_dim=2)
-    assert caught.value.degree == 1
+    # d1 * d2 is multiplied only for a face word that is not a closed edge
+    # path, here one that does not close and one that does not compose
+    broken_face = GCellComplex(
+        tg, ("p", "q"), (Edge("a", "p", "q"), Edge("b", "p", "q")),
+        (Face("c", Word((("a", 1), ("b", 1)))),), (),
+        trivial_action(["p", "q", "a", "b", "c"]),
+    )
+    for x in (open_face, broken_face):
+        with pytest.raises(NotAChainComplex) as caught:
+            homology_of_complex(x, max_dim=2)
+        assert caught.value.degree == 1
 
 
 def test_boundary_matrices():

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -372,6 +374,11 @@ def test_certified_abelian():
     assert not certified_abelian(
         GroupPresentation(("a", "b", "c"), (TORUS_RELATOR,))
     )
+    # any one of [p^+-1, q^+-1], for either order of the pair, certifies it
+    for gens in (("a", "b"), ("b", "a"), ("x1", "a0")):
+        for (p, q), ea, eb in product((gens, gens[::-1]), (1, -1), (1, -1)):
+            rel = ((p, ea), (q, eb), (p, -ea), (q, -eb))
+            assert certified_abelian(GroupPresentation(gens, (rel,)))
 
 
 def test_groupoid_validation():

@@ -28,7 +28,6 @@ from test_action_generators import s3_triangle
 from eqpi1.complexes import Edge, Face, GCellComplex
 from eqpi1.documents import parse_document
 from eqpi1.functors import (
-    _SYNTACTICALLY_EQUAL,
     OrbFunctor,
     _same_as_composite,
     induced_functor_from_complex,
@@ -45,7 +44,7 @@ from eqpi1.groupoids import (
 from eqpi1.groups import family_all, symmetric_group, trivial_group
 from eqpi1.orbit import OrbitCategory
 from eqpi1.realize import build_space
-from eqpi1.verdicts import VERIFIED
+from eqpi1.verdicts import LEVEL_SYNTACTIC, VERIFIED, Verdict
 
 
 def s4_swapped_loops() -> GCellComplex:
@@ -190,7 +189,9 @@ def test_equality_modulo_a_relator_is_not_free_equality(functors):
     m = f.category.identity(0)
     g = corrupt(f, m, "relator", "cv0", (("cv0", 1), ("h01", 1), ("cm01", -1)))
     ident = identity_morphism(f.values[0])
-    assert _same_as_composite(g.arrows[m], ident, ident) == _SYNTACTICALLY_EQUAL
+    assert _same_as_composite(g.arrows[m], ident, ident) == Verdict.verified(
+        LEVEL_SYNTACTIC
+    )
     assert str(same_verdict(g)) == "verified[abelianized]"
 
 
