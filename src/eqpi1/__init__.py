@@ -11,7 +11,6 @@ from .groups import (
     family_trivial,
     group_from_permutations,
     group_from_table,
-    left_cosets,
     symmetric_group,
     trivial_group,
     validate_family,
@@ -46,7 +45,6 @@ from .complexes import (
     Face,
     GCellComplex,
     Solid,
-    describe_homology,
     fixed_subcomplex,
     fundamental_groupoid,
     homology_of_complex,
@@ -74,10 +72,8 @@ from .realize import (
 )
 from .documents import (
     InputDocument,
-    documents_equal,
     parse_document,
     parse_path,
-    render_document,
 )
 
 __version__ = "0.1.0"

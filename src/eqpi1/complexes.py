@@ -402,47 +402,12 @@ def boundary_matrices(x: GCellComplex, max_dim: int = 3):
 
 
 def homology_of_complex(x: GCellComplex, max_dim: int = 3):
-    """Integral homology H_0..H_max_dim; generating chains are computed
-    when first read.  Raises NotAChainComplex when d_i * d_{i+1} != 0 for
-    some i < max_dim."""
+    """The integral homology groups H_0..H_max_dim.  Raises
+    NotAChainComplex when d_i * d_{i+1} != 0 for some i < max_dim."""
     bad = x._chain_defect
     if bad is not None and bad < max_dim:
         raise NotAChainComplex(bad, "d.d != 0")
     return unchecked_homology(boundary_matrices(x, max_dim=max_dim))
-
-
-def cell_names(x: GCellComplex, dim: int):
-    start = x._index.start
-    return x._index.labels[start[dim]:start[dim + 1]]
-
-
-def describe_homology(x: GCellComplex, max_dim: int = 3):
-    """[(degree, HomologyGroup, [generator descriptions])]."""
-    out = []
-    for i, hg in enumerate(homology_of_complex(x, max_dim=max_dim)):
-        names = cell_names(x, i)
-        gens = [_chain_string(vec, names) for vec in hg.free_generators]
-        tors = [
-            (d, _chain_string(vec, names)) for vec, d in hg.torsion_generators
-        ]
-        out.append((i, hg, gens, tors))
-    return out
-
-
-def _chain_string(vec, names) -> str:
-    parts = []
-    for c, name in zip(vec, names):
-        if c == 0:
-            continue
-        if c == 1:
-            parts.append(f"+ {name}" if parts else name)
-        elif c == -1:
-            parts.append(f"- {name}" if parts else f"-{name}")
-        else:
-            sign = "+" if c > 0 else "-"
-            mag = abs(c)
-            parts.append(f"{sign} {mag}*{name}" if parts else f"{c}*{name}")
-    return " ".join(parts) if parts else "0"
 
 
 def fixed_subcomplex(x: GCellComplex, h: Subgroup) -> GCellComplex:

@@ -275,35 +275,6 @@ def is_subgroup_of(small: Subgroup, big: Subgroup) -> bool:
 
 
 @dataclass(frozen=True)
-class Coset:
-    """Left coset g*H, canonically represented by its minimal element."""
-
-    subgroup: Subgroup
-    representative: int
-    elements: tuple
-
-    def __str__(self):
-        return f"{self.representative}{self.subgroup}"
-
-
-def left_coset(group: FiniteGroup, g: int, h: Subgroup) -> Coset:
-    elems = tuple(sorted(group.mul(g, x) for x in h.elements))
-    return Coset(h, elems[0], elems)
-
-
-def left_cosets(group: FiniteGroup, h: Subgroup) -> list:
-    seen = set()
-    out = []
-    for g in group.elements():
-        c = left_coset(group, g, h)
-        if c.elements not in seen:
-            seen.add(c.elements)
-            out.append(c)
-    out.sort(key=lambda c: c.representative)
-    return out
-
-
-@dataclass(frozen=True)
 class SubgroupFamily:
     """A set of subgroups closed under conjugation and under taking
     subgroups, as validate_family enforces."""

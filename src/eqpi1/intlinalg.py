@@ -1,19 +1,16 @@
 """Exact linear algebra over the integers.
 
 Everything here runs on arbitrary-precision Python ints: Smith normal form
-with unimodular transformation certificates, integer kernels and exact
-solving, finitely generated abelian group invariants, sparse boundary
-matrices, and chain-complex homology by unit-pivot reduction followed by
-one certified Smith form per connected block of each residual boundary,
-with generators lifted back to the original cells on request.  No
+with unimodular transformation certificates, exact solving, finitely
+generated abelian group invariants, sparse boundary matrices, and the
+groups of chain-complex homology by unit-pivot reduction followed by one
+certified Smith form per connected block of each residual boundary.  No
 floating point anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from heapq import heapify, heappop, heappush
 
 
 class NotAChainComplex(ValueError):
@@ -159,8 +156,9 @@ class SparseMatrix:
 class SmithForm:
     """U * A * V = D with U, V unimodular and D diagonal, d_i | d_{i+1}.
 
-    uinv and vinv are the exact inverses, maintained during elimination; they
-    are what lets homology generators be lifted back to chains.
+    uinv and vinv are the exact inverses, maintained during elimination and
+    checked with the factorization: they certify that U and V are
+    unimodular.  induced_free_matrix also reads uinv.
     """
 
     d: IntMatrix
@@ -330,13 +328,6 @@ def _verify_smith(a: IntMatrix, s: SmithForm):
                 raise AssertionError("smith form is not diagonal")
 
 
-def kernel_basis(a: IntMatrix) -> IntMatrix:
-    """Columns form a basis of ker(a) over Z (a primitive sublattice)."""
-    s = smith_normal_form(a)
-    cols = [s.v.column(j) for j in range(s.rank, a.cols)]
-    return IntMatrix.from_columns(cols, nrows=a.cols)
-
-
 def solve_columns(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     """Solve a * Y = b exactly over Z; raises ValueError if unsolvable."""
     s = smith_normal_form(a)
@@ -430,28 +421,11 @@ def abelian_map_surjective(f: IntMatrix, r_tgt: IntMatrix) -> bool:
     return s.rank == f.rows and all(d == 1 for d in s.diagonal[: s.rank])
 
 
+@dataclass(frozen=True)
 class HomologyGroup:
-    """H_k of a chain complex.  The group is computed with the complex;
-    chain representatives of its generators are computed, and lifted back
-    to the original cells, the first time either list is read."""
+    """H_k of a chain complex."""
 
-    def __init__(self, group: AbelianGroup, source: _ChainReduction, degree: int):
-        self.group = group
-        self.degree = degree
-        self._source = source
-
-    @cached_property
-    def _generators(self):
-        return self._source.generators(self.degree)
-
-    @property
-    def free_generators(self) -> list:
-        return self._generators[0]
-
-    @property
-    def torsion_generators(self) -> list:
-        """[(chain vector, order)]"""
-        return self._generators[1]
+    group: AbelianGroup
 
     def __str__(self):
         return str(self.group)
@@ -470,8 +444,7 @@ def homology(boundaries: list) -> list:
     row-column graph (Dumas, Saunders and Villard, JSC 2001), and each
     component gets its own certified Smith form; the ranks add up, and the
     non-unit factors are merged into one divisibility chain.  The residual
-    is never densified whole.  Generators are found per component and
-    lifted through the removed pairs only when asked for.
+    is never densified whole.
     """
     mats = [m if isinstance(m, SparseMatrix) else SparseMatrix.from_dense(m)
             for m in boundaries]
@@ -487,26 +460,23 @@ def unchecked_homology(mats: list) -> list:
     """homology() of SparseMatrix boundaries already known to form a chain
     complex; nothing is checked."""
     red = _ChainReduction(mats)
-    return [HomologyGroup(red.group(k), red, k) for k in range(len(mats) + 1)]
+    return [HomologyGroup(red.group(k)) for k in range(len(mats) + 1)]
 
 
 class _ChainReduction:
-    """A chain complex reduced by unit pivots, with the removed pairs
-    recorded so that residual chains can be lifted back.
+    """A chain complex reduced by unit pivots, and the certified Smith
+    forms of the connected blocks of each residual boundary.
 
     Removing a pair (a, b), b in C_k, a in C_{k-1}, <d b, a> = u = +-1, is
     one step of Gaussian elimination: every other k-cell c becomes
     c - (<d c, a>/u) b, which clears row a of d_k; the basis of C_{k-1}
     trades a for d b / u.  What is left is a chain complex on the other
     cells with the same homology, in which d_{k+1} loses row b and d_{k-1}
-    column a.  A residual k-chain z lifts to z - (<d z, a>/u) b, with the
-    boundary as it was when the pair was removed; the row of a at that
-    moment is recorded for that."""
+    column a."""
 
     def __init__(self, mats: list):
         n = len(mats)
         self.n = n
-        self.dims = [mats[0].rows] + [m.cols for m in mats] if n else [0]
         # boundary i is d_{i+1}: column -> {row: coef}, row -> columns using it
         self.cols = [{j: dict(col) for j, col in enumerate(m.data)} for m in mats]
         self.row_users = []
@@ -516,20 +486,13 @@ class _ChainReduction:
                 for r, _ in col:
                     users[r].add(j)
             self.row_users.append(users)
-        self.removed = [set() for _ in self.dims]
-        self.pairs = [[] for _ in mats]  # per boundary: (a, b, u, row of a)
+        # cells per degree, less those removed in pairs
+        self.residual = [mats[0].rows] + [m.cols for m in mats] if n else [0]
         for i in reversed(range(n)):
             self._reduce(i)
-        self.residual = [
-            [j for j in range(d) if j not in gone]
-            for d, gone in zip(self.dims, self.removed)
+        self.blocks = [
+            [smith_normal_form(a) for a in _components(cols)] for cols in self.cols
         ]
-        # per residual boundary: its connected blocks, and the non-unit
-        # invariant factors of all of them merged into one chain
-        self.blocks = [self._blocks(i) for i in range(n)]
-        self.torsion = [self._torsion(i) for i in range(n)]
-        # elimination state; cols stays, as the residual boundaries
-        del self.row_users
 
     def _reduce(self, i: int):
         """Remove unit pivots of boundary i until none is left, taking in
@@ -553,12 +516,9 @@ class _ChainReduction:
         u = col_b.pop(a)
         for r in col_b:
             users[r].discard(b)
-        row = []
         for c in users.pop(a) - {b}:
             col = cols[c]
-            x = col.pop(a)
-            row.append((c, x))
-            f = x * u  # x / u, as u = +-1
+            f = col.pop(a) * u  # <d c, a> / u, as u = +-1
             for r, y in col_b.items():
                 v = col.get(r, 0) - f * y
                 if v:
@@ -568,9 +528,8 @@ class _ChainReduction:
                 else:
                     del col[r]
                     users[r].discard(c)
-        self.pairs[i].append((a, b, u, row))
-        self.removed[i].add(a)
-        self.removed[i + 1].add(b)
+        self.residual[i] -= 1
+        self.residual[i + 1] -= 1
         if i + 1 < self.n:  # row b of d_{i+2}
             for e in self.row_users[i + 1].pop(b):
                 del self.cols[i + 1][e][b]
@@ -578,130 +537,28 @@ class _ChainReduction:
             for r in self.cols[i - 1].pop(a):
                 self.row_users[i - 1][r].discard(a)
 
-    def _blocks(self, i: int) -> list:
-        """The residual boundary i split into its connected blocks, each as
-        (rows, certified Smith form of the block)."""
-        return [
-            (rows, smith_normal_form(a)) for rows, _, a in _components(self.cols[i])
-        ]
-
-    def _torsion(self, i: int):
-        """(factors, merge) for the residual boundary i.  factors lists
-        (d, rows, smith, j), one per invariant factor d = smith.diagonal[j]
-        > 1 of a block, sorted by d.  merge is None when those d already
-        form a divisibility chain, else the Smith form of their diagonal
-        matrix, whose factors > 1 are the torsion (Z/2 + Z/3 is Z/6)."""
-        factors = sorted(
-            (
-                (s.diagonal[j], rows, s, j)
-                for rows, s in self.blocks[i]
-                for j in range(s.rank)
-                if s.diagonal[j] > 1
-            ),
-            key=lambda f: f[0],
-        )
-        ds = [f[0] for f in factors]
-        if all(y % x == 0 for x, y in zip(ds, ds[1:])):
-            return factors, None
-        diag = IntMatrix(len(ds), len(ds))
-        for t, d in enumerate(ds):
-            diag.data[t][t] = d
-        return factors, smith_normal_form(diag)
-
     def group(self, k: int) -> AbelianGroup:
-        rank = len(self.residual[k]) - sum(  # blocks of d_k and d_{k+1}
-            s.rank for blocks in self.blocks[max(k - 1, 0):k + 1]
-            for _, s in blocks
+        rank = self.residual[k] - sum(  # blocks of d_k and d_{k+1}
+            s.rank for blocks in self.blocks[max(k - 1, 0):k + 1] for s in blocks
         )
         if k == self.n:
             return AbelianGroup(rank)
-        factors, merge = self.torsion[k]
-        if merge is None:
-            return AbelianGroup(rank, tuple(f[0] for f in factors))
-        return AbelianGroup(rank, tuple(d for d in merge.diagonal if d > 1))
-
-    def generators(self, k: int):
-        """(free, torsion) chain representatives of H_k in original cells.
-
-        With U A V = D the Smith form of a block A of the residual d_{k+1},
-        the columns of U^-1 on the block's rows, together with unit vectors
-        on the rows in no block, are a basis of the residual C_k.  The
-        first rank columns of each U^-1 span the boundaries up to the
-        factors d_i; those with d_i > 1 are the torsion generators (they
-        are cycles, since d_i times them is), carried through the merge
-        Smith form when the factors are not a chain.  The free generators
-        are the cycles among combinations of the remaining basis vectors:
-        a kernel basis of the residual d_k on them."""
-        torsion, rest, in_block = [], [], set()
-        if k < self.n:
-            factors, merge = self.torsion[k]
-            chains = [_block_chain(rows, s, j) for _, rows, s, j in factors]
-            if merge is None:
-                torsion = [(z, f[0]) for z, f in zip(chains, factors)]
-            else:
-                torsion = [
-                    (_combine(chains, merge.uinv.column(j)), d)
-                    for j, d in enumerate(merge.diagonal) if d > 1
-                ]
-            for rows, s in self.blocks[k]:
-                in_block.update(rows)
-                rest += [
-                    _block_chain(rows, s, j) for j in range(s.rank, len(rows))
-                ]
-        rest += [{c: 1} for c in self.residual[k] if c not in in_block]
-        if k > 0 and self.blocks[k - 1] and rest:
-            # the kernel of the residual d_k on rest, one connected block
-            # of the images at a time; a zero image is a cycle already
-            images = {j: _combine(
-                [self.cols[k - 1][c] for c in z], list(z.values())
-            ) for j, z in enumerate(rest)}
-            kernel = [rest[j] for j, img in images.items() if not img]
-            for _, cols, a in _components(images):
-                basis = kernel_basis(a)
-                kernel += [
-                    _combine([rest[j] for j in cols], basis.column(t))
-                    for t in range(basis.cols)
-                ]
-            rest = kernel
-        pairs = self.pairs[k - 1] if k > 0 else []
-        touching = {}  # k-cell -> the pairs whose recorded row has it
-        for i, (_, _, _, row) in enumerate(pairs):
-            for c, _ in row:
-                touching.setdefault(c, []).append(i)
-        free = [self._lift(k, z, pairs, touching) for z in rest]
-        return free, [(self._lift(k, z, pairs, touching), d) for z, d in torsion]
-
-    def _lift(self, k: int, z: dict, pairs: list, touching: dict) -> list:
-        """A residual k-chain {cell: coef} as a chain on all k-cells.  The
-        removed pairs are undone latest first, and only those whose row
-        meets the chain as it grows are visited."""
-        z = dict(z)
-        pending = [-i for c in z for i in touching.get(c, ())]
-        heapify(pending)
-        last = len(pairs)
-        while pending:
-            i = -heappop(pending)
-            if i >= last:  # queued more than once
-                continue
-            last = i
-            _, b, u, row = pairs[i]
-            s = sum(z.get(c, 0) * x for c, x in row)
-            if s:
-                z[b] = -s * u
-                for j in touching.get(b, ()):
-                    if j < i:
-                        heappush(pending, -j)
-        vec = [0] * self.dims[k]
-        for c, x in z.items():
-            vec[c] = x
-        return vec
+        ds = sorted(d for s in self.blocks[k] for d in s.diagonal if d > 1)
+        if any(y % x for x, y in zip(ds, ds[1:])):
+            # not a divisibility chain: merge them through the Smith form
+            # of their diagonal matrix (Z/2 + Z/3 is Z/6)
+            diag = IntMatrix(len(ds), len(ds))
+            for t, d in enumerate(ds):
+                diag.data[t][t] = d
+            ds = [d for d in smith_normal_form(diag).diagonal if d > 1]
+        return AbelianGroup(rank, tuple(ds))
 
 
 def _components(columns: dict) -> list:
     """The connected blocks of the row-column graph of a sparse matrix
-    {column: {row: coef}}, in the order of their least column, each as
-    (rows, columns, the block as a dense IntMatrix) with rows and columns
-    sorted.  Zero rows and columns belong to no block."""
+    {column: {row: coef}}, in the order of their least column, each as a
+    dense IntMatrix with its rows and columns sorted.  Zero rows and
+    columns belong to no block."""
     users = {}
     for c, col in columns.items():
         for r in col:
@@ -729,23 +586,8 @@ def _components(columns: dict) -> list:
         for j, c in enumerate(block_cols):
             for r, x in columns[c].items():
                 a.data[where[r]][j] = x
-        blocks.append((rows, block_cols, a))
+        blocks.append(a)
     return blocks
-
-
-def _block_chain(rows: list, s: SmithForm, j: int) -> dict:
-    """Column j of a block's U^-1 as a chain {cell: coef} on its rows."""
-    return {r: x for r, x in zip(rows, s.uinv.column(j)) if x}
-
-
-def _combine(chains: list, coefs: list) -> dict:
-    """The chain sum of coef * chain."""
-    out = {}
-    for z, a in zip(chains, coefs):
-        if a:
-            for c, x in z.items():
-                out[c] = out.get(c, 0) + a * x
-    return {c: x for c, x in out.items() if x}
 
 
 def cohomology_ranks(homology_groups: list) -> list:

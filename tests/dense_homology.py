@@ -9,13 +9,12 @@ against it on small complexes.
 
 from dataclasses import dataclass
 
-from dense_matrix import mul_vector
+from dense_matrix import kernel_basis, mul_vector
 
 from eqpi1.intlinalg import (
     AbelianGroup,
     IntMatrix,
     NotAChainComplex,
-    kernel_basis,
     smith_normal_form,
     solve_columns,
 )

@@ -1,12 +1,12 @@
 """Dense IntMatrix helpers that only the tests use.
 
 The library never builds a dense matrix from rows, transposes, copies,
-takes determinants of, or applies one to a vector; the tests do, to
-check Smith certificates and homology generators independently of the
+takes determinants or kernel bases of, or applies one to a vector; the
+tests do, to check Smith certificates and homology independently of the
 code under test.
 """
 
-from eqpi1.intlinalg import IntMatrix
+from eqpi1.intlinalg import IntMatrix, smith_normal_form
 
 
 def from_rows(rows) -> IntMatrix:
@@ -63,3 +63,10 @@ def det(a: IntMatrix) -> int:
 
 def is_unimodular(a: IntMatrix) -> bool:
     return a.rows == a.cols and det(a) in (1, -1)
+
+
+def kernel_basis(a: IntMatrix) -> IntMatrix:
+    """Columns form a basis of ker(a) over Z (a primitive sublattice)."""
+    s = smith_normal_form(a)
+    cols = [s.v.column(j) for j in range(s.rank, a.cols)]
+    return IntMatrix.from_columns(cols, nrows=a.cols)

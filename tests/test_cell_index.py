@@ -18,7 +18,7 @@ from conftest import data_file
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from naive_fixed import naive_fixed_subcomplex
-from test_action_generators import corrupt, s3_triangle, twist
+from test_action_generators import cell_labels, corrupt, s3_triangle, twist
 from test_law_generators import s4_swapped_loops
 
 from eqpi1 import complexes
@@ -27,7 +27,6 @@ from eqpi1.complexes import (
     Face,
     GCellComplex,
     InvalidComplex,
-    cell_names,
     fixed_subcomplex,
     homology_of_complex,
     validate_complex,
@@ -114,7 +113,7 @@ def test_index_reads_like_the_action(spaces):
                 assert bool(idx.stab[i] >> g & 1) == ((img, sign) == (lab, 1))
         assert idx.flipped is None
         for d in range(4):
-            assert cell_names(x, d) == idx.labels[idx.start[d]:idx.start[d + 1]]
+            assert cell_labels(x, d) == idx.labels[idx.start[d]:idx.start[d + 1]]
 
 
 def test_fixed_subcomplexes_match_the_oracle(spaces):
@@ -127,8 +126,8 @@ def test_fixed_subcomplexes_match_the_oracle(spaces):
 def test_corrupted_fixed_subcomplexes_match_the_oracle(spaces, data):
     x = data.draw(st.sampled_from(spaces))
     g = data.draw(st.sampled_from(list(x.group.elements())))
-    dims = [d for d in range(4) if cell_names(x, d)]
-    positive = [lab for d in dims if d > 0 for lab in cell_names(x, d)]
+    dims = [d for d in range(4) if cell_labels(x, d)]
+    positive = [lab for d in dims if d > 0 for lab in cell_labels(x, d)]
     halves = [h for h in x.group.subgroups if 2 * h.order == x.group.order]
     kinds = ["swap", "merge"]
     if positive:
@@ -142,7 +141,7 @@ def test_corrupted_fixed_subcomplexes_match_the_oracle(spaces, data):
     elif kind == "flip":
         y = corrupt(x, g, kind, data.draw(st.sampled_from(positive)))
     else:
-        cells = cell_names(x, data.draw(st.sampled_from(dims)))
+        cells = cell_labels(x, data.draw(st.sampled_from(dims)))
         a, b = data.draw(st.lists(st.sampled_from(cells), min_size=2, max_size=2))
         y = corrupt(x, g, kind, a, b)
     same_fixed(y)

@@ -8,7 +8,6 @@ from eqpi1.complexes import (
     InvalidComplex,
     Solid,
     boundary_matrices,
-    describe_homology,
     fixed_subcomplex,
     fundamental_groupoid,
     homology_of_complex,
@@ -292,20 +291,6 @@ def test_presentation_complex_homologies():
     assert homology_strings(presentation_complex(free2), max_dim=2) == [
         "Z", "Z^2", "0",
     ]
-
-
-def test_describe_homology():
-    half = PresentedGroupoid(
-        ("u",), (Gen("a", "u", "u"),),
-        (Word((("a", 1), ("a", 1)), at="u"),),
-    )
-    rows = describe_homology(presentation_complex(half), max_dim=2)
-    degree, hg, free, tors = rows[1]
-    assert degree == 1 and str(hg.group) == "Z/2"
-    assert free == []
-    assert tors == [(2, "a")]
-    degree, hg, free, tors = rows[0]
-    assert free == ["u"]
 
 
 def test_fundamental_groupoid_round_trip():

@@ -12,6 +12,7 @@ from itertools import permutations
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from document_render import documents_equal, render_document
 from naive_action import naive_complete_action
 
 import eqpi1
@@ -20,9 +21,7 @@ from eqpi1.documents import (
     DocumentSyntaxError,
     SchemaViolation,
     _complete_action,
-    documents_equal,
     parse_document,
-    render_document,
     tokenize,
 )
 from eqpi1.groups import cyclic_group, symmetric_group

@@ -1,6 +1,13 @@
 import json
 
 import pytest
+from document_render import (
+    complexes_equal,
+    documents_equal,
+    functors_equal,
+    render_document,
+    render_word,
+)
 
 from eqpi1.complexes import validate_complex
 from eqpi1.documents import (
@@ -10,13 +17,8 @@ from eqpi1.documents import (
     DocumentSyntaxError,
     InputDocument,
     SchemaViolation,
-    complexes_equal,
     document_json,
-    documents_equal,
-    functors_equal,
     parse_document,
-    render_document,
-    render_word,
     tokenize,
 )
 from eqpi1.functors import induced_functor_from_complex

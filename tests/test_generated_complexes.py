@@ -31,7 +31,7 @@ from collections import deque
 
 from hypothesis import event, given, reject, settings
 from hypothesis import strategies as st
-from test_action_generators import corrupt, same_verdict
+from test_action_generators import cell_labels, corrupt, same_verdict
 from test_cell_index import same_fixed
 
 from eqpi1.complexes import (
@@ -40,7 +40,6 @@ from eqpi1.complexes import (
     GCellComplex,
     InvalidComplex,
     Solid,
-    cell_names,
     homology_of_complex,
     validate_complex,
 )
@@ -245,13 +244,13 @@ def test_realization_of_the_induced_functor(x):
 def test_corrupted_generated_complexes_match_the_oracles(data):
     x = data.draw(g_complexes())
     g = data.draw(st.sampled_from(list(x.group.elements())))
-    dims = [d for d in range(4) if cell_names(x, d)]
-    positive = [lab for d in dims if d > 0 for lab in cell_names(x, d)]
+    dims = [d for d in range(4) if cell_labels(x, d)]
+    positive = [lab for d in dims if d > 0 for lab in cell_labels(x, d)]
     kind = data.draw(st.sampled_from(["swap", "merge"] + ["flip"] * bool(positive)))
     if kind == "flip":
         y = corrupt(x, g, kind, data.draw(st.sampled_from(positive)))
     else:
-        cells = cell_names(x, data.draw(st.sampled_from(dims)))
+        cells = cell_labels(x, data.draw(st.sampled_from(dims)))
         a, b = data.draw(st.lists(st.sampled_from(cells), min_size=2, max_size=2))
         y = corrupt(x, g, kind, a, b)
     same_verdict(y)

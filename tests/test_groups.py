@@ -21,8 +21,6 @@ from eqpi1.groups import (
     group_from_permutations,
     group_from_table,
     is_subgroup,
-    left_coset,
-    left_cosets,
     subgroup_closure,
     symmetric_group,
     trivial_group,
@@ -191,28 +189,6 @@ def test_conjugate_subgroup():
     order3 = [s for s in subs if s.order == 3][0]
     for a in g.elements():
         assert conjugate_subgroup(g, a, order3).elements == order3.elements
-
-
-def test_left_cosets_partition():
-    g = symmetric_group(3)
-    h = [s for s in enumerate_subgroups(g) if s.order == 2][0]
-    cosets = left_cosets(g, h)
-    assert len(cosets) == 3
-    seen = []
-    for c in cosets:
-        assert len(c.elements) == 2
-        assert c.representative == min(c.elements)
-        seen.extend(c.elements)
-    assert sorted(seen) == list(range(6))
-
-
-def test_left_coset_of_element():
-    g = cyclic_group(4)
-    h = Subgroup((0, 2))
-    c = left_coset(g, 3, h)
-    assert c.elements == (1, 3)
-    assert c.representative == 1
-    assert str(c) == "1{0,2}"
 
 
 def test_families():
