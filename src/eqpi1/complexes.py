@@ -410,17 +410,23 @@ def homology_of_complex(x: GCellComplex, max_dim: int = 3):
     return unchecked_homology(boundary_matrices(x, max_dim=max_dim))
 
 
-def fixed_subcomplex(x: GCellComplex, h: Subgroup) -> GCellComplex:
-    """Cells fixed (with orientation) by every element of h, as a complex
-    without group action.  Raises InvalidComplex when the fixed cells do not
-    close up under boundaries.  The fixed cells are those whose stabilizer
-    in the cell index contains h."""
-    idx = x._index
+def fixed_cells(x: GCellComplex, h: Subgroup) -> tuple:
+    """The keep-mask of h: per position of the cell index, is the cell
+    fixed (with orientation) by every element of h, that is, does its
+    stabilizer mask contain h?  Subgroups with equal masks have the same
+    fixed subcomplex."""
     hmask = 0
     for g in h.elements:
         hmask |= 1 << g
-    keep = [mask & hmask == hmask for mask in idx.stab]
-    start = idx.start
+    return tuple([mask & hmask == hmask for mask in x._index.stab])
+
+
+def fixed_subcomplex(x: GCellComplex, h: Subgroup) -> GCellComplex:
+    """Cells fixed (with orientation) by every element of h, as a complex
+    without group action.  Raises InvalidComplex when the fixed cells do not
+    close up under boundaries."""
+    keep = fixed_cells(x, h)
+    start = x._index.start
     vs, es, fs, ss = (
         tuple(compress(cells, keep[lo:hi]))
         for cells, lo, hi in zip(

@@ -13,18 +13,25 @@ only when one of those pairs is not an equality of free-groupoid maps.
 The central construction is the functor induced by a complex with a group
 action: value(H) is the fundamental groupoid presentation of the H-fixed
 subcomplex, and the arrow for a morphism with coset representative g moves
-fixed cells by g.
+fixed cells by g.  Subgroups with the same fixed cells share one value,
+and equal arrows are one shared object.  Values, arrows and the components
+of a natural transformation may therefore be shared between subgroups or
+morphisms and must not be mutated in place; copy one before changing it.
+The law and naturality checks compare each distinct tuple of shared
+objects once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain
 
 from .complexes import (
     CellularMap,
     GCellComplex,
     InvalidComplex,
+    fixed_cells,
     fixed_subcomplex,
     fundamental_groupoid,
 )
@@ -75,6 +82,10 @@ class NotEquivariant(ValueError):
 
 @dataclass
 class OrbFunctor:
+    """A functor on an orbit category.  Several subgroups may hold the
+    same value object, and several morphisms the same arrow object, so
+    neither is mutated in place."""
+
     category: OrbitCategory
     values: dict  # subgroup id -> PresentedGroupoid
     arrows: dict  # OrbitMorphism -> GroupoidMorphism
@@ -202,17 +213,31 @@ def _laws_hold_freely(f: OrbFunctor) -> bool:
     composition law holds the same way: with beta = gamma after beta',
     induction on the number of generating factors of beta gives
     F(beta alpha) = F(beta' alpha) F(gamma) = F(alpha) F(beta') F(gamma)
-    = F(alpha) F(beta), composites read right to left."""
-    cat, arrows = f.category, f.arrows
+    = F(alpha) F(beta), composites read right to left.
+
+    Arrows and values may be shared, so each distinct tuple of objects is
+    compared once, keyed by their ids."""
+    cat, arrows, values = f.category, f.arrows, f.values
+    done = set()
     for hid in cat.objects:
-        ident = identity_morphism(f.values[hid])
-        if not _equal_as_free(arrows[cat.identity(hid)], ident, ident):
-            return False
-    return all(
-        _equal_as_free(arrows[cat.compose(gamma, alpha)], arrows[gamma], arrows[alpha])
-        for gamma in cat.generating_morphisms
-        for alpha in cat.into[gamma.source]
-    )
+        t, p = arrows[cat.identity(hid)], values[hid]
+        key = (id(t), id(p))
+        if key not in done:
+            ident = identity_morphism(p)
+            if not _equal_as_free(t, ident, ident):
+                return False
+            done.add(key)
+    for gamma in cat.generating_morphisms:
+        kid, t_gamma = gamma.target, arrows[gamma]
+        reps = cat.composite_representatives(gamma)
+        for alpha, rep in zip(cat.into[gamma.source], reps):
+            direct, t_alpha = arrows[alpha.source, kid, rep], arrows[alpha]
+            key = (id(direct), id(t_gamma), id(t_alpha))
+            if key not in done:
+                if not _equal_as_free(direct, t_gamma, t_alpha):
+                    return False
+                done.add(key)
+    return True
 
 
 def validate_functoriality(f: OrbFunctor) -> Verdict:
@@ -241,7 +266,8 @@ def validate_functoriality(f: OrbFunctor) -> Verdict:
 
 def _law_checks(f: OrbFunctor):
     """(context, verdict) of every identity law, then of every composition
-    law, beta-major in morphisms() order, each compared when reached."""
+    law, beta-major in morphisms() order, each compared when reached.  A
+    composition law's context is built only if its pair refutes."""
     cat, arrows = f.category, f.arrows
     for hid in cat.objects:
         ident = identity_morphism(f.values[hid])
@@ -252,11 +278,15 @@ def _law_checks(f: OrbFunctor):
     for beta in cat.morphisms():
         for alpha in cat.into[beta.source]:
             yield (
-                {"check": "composition law", "pair": (str(beta), str(alpha))},
+                partial(_pair_context, beta, alpha),
                 _same_as_composite(
                     arrows[cat.compose(beta, alpha)], arrows[beta], arrows[alpha]
                 ),
             )
+
+
+def _pair_context(beta: OrbitMorphism, alpha: OrbitMorphism) -> dict:
+    return {"check": "composition law", "pair": (str(beta), str(alpha))}
 
 
 def induced_functor_from_complex(x: GCellComplex, family=None) -> OrbFunctor:
@@ -268,23 +298,33 @@ def induced_functor_from_complex(x: GCellComplex, family=None) -> OrbFunctor:
 
 def _induced_functor(x: GCellComplex, cat: OrbitCategory) -> OrbFunctor:
     """induced_functor_from_complex on an orbit category already built for
-    the complex's group."""
-    values = {}
+    the complex's group.  Subgroups with the same fixed cells (the same
+    keep-mask) share one value, and morphisms with the same endpoint
+    values and the same object and generator images share one arrow."""
+    values, by_keep = {}, {}
     for hid in cat.objects:
         sub = cat.subgroups[hid]
-        fixed = fixed_subcomplex(x, sub)
-        values[hid] = fundamental_groupoid(fixed)
-    arrows = {}
+        keep = fixed_cells(x, sub)
+        if keep not in by_keep:
+            by_keep[keep] = fundamental_groupoid(fixed_subcomplex(x, sub))
+        values[hid] = by_keep[keep]
+    arrows, shared = {}, {}
     for m in cat.morphisms():
-        g = m.representative
+        action = x.action[m.representative]
         src_value = values[m.target]
         dst_value = values[m.source]
-        object_map = {v: x.action[g][v][0] for v in src_value.objects}
-        generator_map = {}
-        for e in src_value.generators:
-            img, sign = x.action[g][e.label]
-            generator_map[e.label] = Word(((img, sign),))
-        arrows[m] = GroupoidMorphism(src_value, dst_value, object_map, generator_map)
+        object_images = tuple([action[v][0] for v in src_value.objects])
+        generator_images = tuple([action[e.label] for e in src_value.generators])
+        key = (id(src_value), id(dst_value), object_images, generator_images)
+        arrow = shared.get(key)
+        if arrow is None:
+            arrow = shared[key] = GroupoidMorphism(
+                src_value, dst_value,
+                dict(zip(src_value.objects, object_images)),
+                {e.label: Word((img,)) for e, img in
+                 zip(src_value.generators, generator_images)},
+            )
+        arrows[m] = arrow
     return OrbFunctor(cat, values, arrows)
 
 
@@ -311,15 +351,27 @@ class NaturalTransformation:
     def _squares(self):
         """(context, verdict) of the square of each m: G/H -> G/K in
         morphisms() order: is eta_H after F(m) the same arrow as G(m)
-        after eta_K?  The left side is built, the right is not."""
+        after eta_K?  The left side is built, the right is not.  Each
+        distinct tuple of components and arrows is compared once, and a
+        square's context is built only if it refutes."""
+        comps, f_arrows, g_arrows = (
+            self.components, self.source.arrows, self.target.arrows
+        )
+        seen = {}
         for m in self.source.category.morphisms():
-            left = compose_morphisms(self.components[m.source], self.source.arrows[m])
-            c_k, g_m = self.components[m.target], self.target.arrows[m]
-            check_composable(g_m, c_k)
-            yield (
-                {"check": "naturality square", "at": str(m)},
-                _same_as_composite(left, c_k, g_m),
-            )
+            c_h, f_m = comps[m.source], f_arrows[m]
+            c_k, g_m = comps[m.target], g_arrows[m]
+            key = (id(c_h), id(f_m), id(c_k), id(g_m))
+            v = seen.get(key)
+            if v is None:
+                left = compose_morphisms(c_h, f_m)
+                check_composable(g_m, c_k)
+                v = seen[key] = _same_as_composite(left, c_k, g_m)
+            yield partial(_square_context, m), v
+
+
+def _square_context(m: OrbitMorphism) -> dict:
+    return {"check": "naturality square", "at": str(m)}
 
 
 def induced_transformation(

@@ -10,7 +10,7 @@ representative.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 
 class NoIdentity(ValueError):
@@ -111,9 +111,14 @@ class FiniteGroup:
 
 
 def group_from_table(table) -> FiniteGroup:
-    """Validate a multiplication table and wrap it.  The whole table is
-    checked: identity, inverses, and associativity on all triples (group
-    orders here are small enough that exhaustive is cheap)."""
+    """Validate a multiplication table and wrap it: identity, inverses,
+    then associativity by Light's test over the greedy generating set S
+    (Clifford and Preston, The Algebraic Theory of Semigroups I, 1.2).
+    The elements s with (x*s)*y = x*(s*y) for all x and y are closed
+    under products, so when every s in S passes, so does every product
+    of them, which is every element; that is n^2*|S| comparisons instead
+    of n^3.  When some s fails, all triples are scanned in order, so
+    NotAssociative names the first failing one."""
     rows = tuple(tuple(r) for r in table)
     n = len(rows)
     if n == 0:
@@ -136,16 +141,25 @@ def group_from_table(table) -> FiniteGroup:
                 break
         if inverse[a] is None:
             raise NoInverse(a)
-    for a in range(n):
-        for b in range(n):
-            ab = rows[a][b]
-            for c in range(n):
-                if rows[ab][c] != rows[a][rows[b][c]]:
-                    raise NotAssociative((a, b, c))
-    return FiniteGroup(rows, identity, tuple(inverse))
+    group = FiniteGroup(rows, identity, tuple(inverse))
+    if not all(_light_holds(rows, s) for s in group.generators):
+        raise NotAssociative(next(
+            (a, b, c) for a in range(n) for b in range(n) for c in range(n)
+            if rows[rows[a][b]][c] != rows[a][rows[b][c]]
+        ))
+    return group
 
 
+def _light_holds(rows, s: int) -> bool:
+    """(x*s)*y == x*(s*y) for every x and y: n^2 comparisons, row by row."""
+    s_row = rows[s]
+    return all(rows[row[s]] == tuple(map(row.__getitem__, s_row)) for row in rows)
+
+
+@cache
 def trivial_group() -> FiniteGroup:
+    """The group of order one, built once and shared: a FiniteGroup is
+    frozen, and its subgroup cache holds one subgroup."""
     return group_from_table([[0]])
 
 

@@ -158,6 +158,14 @@ class OrbitCategory:
             alpha.source, beta.target, self.coset_rep[beta.target][prod]
         ))
 
+    def composite_representatives(self, beta: OrbitMorphism) -> list:
+        """The representative of beta after alpha for each alpha in
+        into[beta.source], in that order, as compose names it; the
+        composite itself is (alpha.source, beta.target, representative)."""
+        table, b = self.group.table, beta.representative
+        to_l = self.coset_rep[beta.target]
+        return [to_l[table[a.representative][b]] for a in self.into[beta.source]]
+
     def morphisms(self) -> tuple:
         """All morphisms in deterministic order."""
         return self._morphisms

@@ -350,23 +350,30 @@ def comparison_transformation(
 ) -> NaturalTransformation:
     """The canonical comparison from the input functor to the induced
     functor of the realized space: objects go to their classes, generators
-    to their copy edges in the identity-coset copy."""
+    to their copy edges in the identity-coset copy.  Subgroups whose
+    components have the same endpoint values and the same images share
+    one component."""
     computed = _induced_functor(result.space, f.category)
     cat = f.category
-    components = {}
+    components, shared = {}, {}
     for hid in cat.objects:
         base = cat.coset_rep[hid][cat.group.identity]
-        val = f.values[hid]
-        object_map = {
-            x: result.coend.class_of(hid, base, x) for x in val.objects
-        }
-        generator_map = {
-            g.label: Word(((_label(f"o{hid}", base, g.label), 1),))
-            for g in val.generators
-        }
-        components[hid] = GroupoidMorphism(
-            val, computed.values[hid], object_map, generator_map
-        )
+        val, target = f.values[hid], computed.values[hid]
+        object_images = tuple([
+            result.coend.class_of(hid, base, x) for x in val.objects
+        ])
+        edge_images = tuple([
+            _label(f"o{hid}", base, g.label) for g in val.generators
+        ])
+        key = (id(val), id(target), object_images, edge_images)
+        if key not in shared:
+            shared[key] = GroupoidMorphism(
+                val, target,
+                dict(zip(val.objects, object_images)),
+                {g.label: Word(((lab, 1),))
+                 for g, lab in zip(val.generators, edge_images)},
+            )
+        components[hid] = shared[key]
     return NaturalTransformation(f, computed, components)
 
 
@@ -381,11 +388,12 @@ def verify_fundamental_functor(
         result = build_space(f)
     eta = comparison_transformation(f, result)
     naturality = eta.naturality()
-    equivalence = {}
-    strict = {}
+    equivalence, strict, reports = {}, {}, {}
     for hid in f.category.objects:
-        equivalence[hid] = equivalence_report(eta.components[hid])
-        strict[hid] = strict_isomorphism_report(eta.components[hid])
+        c = eta.components[hid]  # a shared component is judged once
+        if id(c) not in reports:
+            reports[id(c)] = equivalence_report(c), strict_isomorphism_report(c)
+        equivalence[hid], strict[hid] = reports[id(c)]
     combined = combine([naturality] + list(equivalence.values()))
     return FunctorVerification(naturality, equivalence, strict, combined)
 

@@ -89,13 +89,16 @@ def combine(verdicts) -> Verdict:
 
 
 def first_refuted(checks) -> Verdict:
-    """The first refuted verdict of checks, an iterable of (context dict,
+    """The first refuted verdict of checks, an iterable of (context,
     verdict) pairs, with the context's keys before the witness's; checks
-    after it are never evaluated.  Without a refutation, combine() of all
-    the verdicts."""
+    after it are never evaluated.  A context is a dict, or a callable that
+    returns one, called only for the refuted check.  Without a refutation,
+    combine() of all the verdicts."""
     verdicts = []
     for context, v in checks:
         if v.is_refuted:
+            if callable(context):
+                context = context()
             return Verdict.refuted({**context, **(v.witness or {})}, v.level)
         verdicts.append(v)
     return combine(verdicts)

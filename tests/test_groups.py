@@ -313,3 +313,11 @@ def test_generators_are_greedy():
     fresh = symmetric_group(4)
     assert "generators" not in fresh.__dict__
     assert fresh == groups[-2] and hash(fresh) == hash(groups[-2])
+
+
+def test_trivial_group_is_one_shared_instance():
+    # fixed subcomplexes are complexes over the trivial group, one per
+    # subgroup and complex; the 1x1 table is validated once
+    g = trivial_group()
+    assert g is trivial_group()
+    assert [s.elements for s in g.subgroups] == [(0,)]

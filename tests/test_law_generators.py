@@ -99,11 +99,21 @@ def same_verdict(f):
 
 
 def corrupt(f, m, kind, key, other=None) -> OrbFunctor:
-    """f with the arrow at m changed: "invert" inverts the image of
+    """f with the arrow at m replaced by corrupted_arrow(f.arrows[m], ...);
+    any other morphism that shared the old arrow keeps it."""
+    return OrbFunctor(
+        f.category, f.values,
+        {**f.arrows, m: corrupted_arrow(f.arrows[m], kind, key, other)},
+    )
+
+
+def corrupted_arrow(t, kind, key, other=None) -> GroupoidMorphism:
+    """A copy of the arrow t, changed: "invert" inverts the image of
     generator key, "relator" puts the loop `other` in front of it, and
-    "object" sends object key to object other.  The arrow is changed in
-    place of a copy, so its endpoints are not checked again."""
-    t = copy.copy(f.arrows[m])
+    "object" sends object key to object other.  The copy is changed in
+    place, so its endpoints are not checked again; t itself, which other
+    morphisms may share, is left alone."""
+    t = copy.copy(t)
     if kind == "object":
         t.object_map = {**t.object_map, key: other}
     else:
@@ -113,7 +123,7 @@ def corrupt(f, m, kind, key, other=None) -> OrbFunctor:
             else other + w.letters
         )
         t.generator_map = {**t.generator_map, key: Word(letters, at=w.at)}
-    return OrbFunctor(f.category, f.values, {**f.arrows, m: t})
+    return t
 
 
 def relator_loops(p) -> dict:

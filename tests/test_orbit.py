@@ -128,6 +128,15 @@ def test_composition_closed_and_associative(name):
                 assert cat.compose(c, ba) == cat.compose(cat.compose(c, b), a)
 
 
+@pytest.mark.parametrize("name", sorted(GROUPS))
+def test_composite_representatives_match_compose(name):
+    g = GROUPS[name]
+    cat = OrbitCategory(g, family_all(g))
+    for b in cat.morphisms():
+        reps = cat.composite_representatives(b)
+        assert reps == [cat.compose(b, a).representative for a in cat.into[b.source]]
+
+
 def test_compose_coset_arithmetic():
     g = GROUPS["z4"]
     cat = OrbitCategory(g, family_all(g))
