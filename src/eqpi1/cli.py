@@ -278,17 +278,22 @@ def cmd_induced_functor(args) -> int:
             ab = val.abelianized_isotropy(comp[0])
             vals.say(f"  component at {comp[0]}: abelianized isotropy {ab}")
     arrows = report.add(Report("arrows on abelianized isotropy"))
+    maps = {}  # id of a shared arrow -> its lines, without the morphism
     for m in functor.category.morphisms():
         t = functor.arrows[m]
         if t.source.is_empty:
             arrows.say(f"{m}: (empty source)")
             continue
-        for comp in t.source.components():
-            mat, ab_s, ab_t = abelianized_isotropy_map(t, comp[0])
-            arrows.say(
-                f"{m} at {comp[0]}: matrix {[list(r) for r in mat.data]}"
-                f" ({ab_s} -> {ab_t})"
-            )
+        if id(t) not in maps:
+            maps[id(t)] = []
+            for comp in t.source.components():
+                mat, ab_s, ab_t = abelianized_isotropy_map(t, comp[0])
+                maps[id(t)].append(
+                    f" at {comp[0]}: matrix {[list(r) for r in mat.data]}"
+                    f" ({ab_s} -> {ab_t})"
+                )
+        for line in maps[id(t)]:
+            arrows.say(f"{m}{line}")
     _emit(report, args.format)
     return report.exit_code(args.strict)
 

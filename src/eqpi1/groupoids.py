@@ -27,8 +27,7 @@ from typing import NamedTuple
 from .intlinalg import (
     AbelianGroup,
     IntMatrix,
-    abelian_map_surjective,
-    in_column_span,
+    SparseMatrix,
     induced_free_matrix,
     quotient_invariants,
 )
@@ -159,21 +158,21 @@ class GroupPresentation:
     generators: tuple
     relators: tuple
 
-    def relator_matrix(self) -> IntMatrix:
+    def relator_matrix(self) -> SparseMatrix:
+        """The exponent sums of the relators, one column each."""
         idx = {g: i for i, g in enumerate(self.generators)}
-        cols = [_exponents(r, idx) for r in self.relators]
-        return IntMatrix.from_columns(cols, nrows=len(self.generators))
+        return SparseMatrix.from_terms(
+            (((idx[lab], e) for lab, e in r) for r in self.relators),
+            len(self.generators),
+        )
 
     def abelianization(self) -> AbelianGroup:
         return quotient_invariants(self.relator_matrix())
 
 
 def exponent_vector(letters, generators) -> list:
-    return _exponents(letters, {g: i for i, g in enumerate(generators)})
-
-
-def _exponents(letters, idx) -> list:
-    """Exponent sums of letters over generators indexed by idx."""
+    """Exponent sums of letters over generators, in their order."""
+    idx = {g: i for i, g in enumerate(generators)}
     v = [0] * len(idx)
     for lab, e in letters:
         v[idx[lab]] += e
@@ -583,7 +582,9 @@ def compose_morphisms(t2: GroupoidMorphism, t1: GroupoidMorphism) -> GroupoidMor
 def _loop_vanishes(p: PresentedGroupoid, w: Word) -> Verdict:
     """Is the loop w trivial in its component's isotropy?  Verified needs the
     loop to reduce to nothing, match a relator, or die in a certified-abelian
-    group; a nonzero abelianized class refutes."""
+    group; a nonzero abelianized class refutes.  The class is zero exactly
+    when adding the loop as a relator leaves the abelianization unchanged,
+    which the sparse reduction of homology decides."""
     reduced = p.free_reduce(w)
     if reduced.is_empty:
         return Verdict.verified(LEVEL_SYNTACTIC)
@@ -593,12 +594,17 @@ def _loop_vanishes(p: PresentedGroupoid, w: Word) -> Verdict:
     hat = data.rewrite_loop(reduced)
     if not hat:
         return Verdict.verified(LEVEL_SYNTACTIC)
-    vec = exponent_vector(hat, data.presentation.generators)
-    if not in_column_span(data.presentation.relator_matrix(), vec):
+    pres = data.presentation
+    # Z^n/L maps onto Z^n/(L + Z hat), and a finitely generated abelian
+    # group is isomorphic to no proper quotient of itself: hat lies in the
+    # relator lattice L exactly when the invariants agree
+    killed = GroupPresentation(pres.generators, pres.relators + (hat,))
+    if killed.abelianization() != pres.abelianization():
+        vec = exponent_vector(hat, pres.generators)
         return Verdict.refuted(
             {"loop": str(reduced), "abelianized": vec}, LEVEL_ABELIANIZED
         )
-    simp, _ = simplify_presentation(data.presentation)
+    simp, _ = simplify_presentation(pres)
     if certified_abelian(simp):
         return Verdict.verified(LEVEL_ABELIANIZED)
     return Verdict.undecided("word problem: loop not decided at abelianized level")
@@ -651,7 +657,9 @@ def abelianized_isotropy_map(t: GroupoidMorphism, x0: str):
     sp, tp, images = _simplified_images(t, x0)
     cols = [exponent_vector(images[g], tp.generators) for g in sp.generators]
     f = IntMatrix.from_columns(cols, nrows=len(tp.generators))
-    m = induced_free_matrix(sp.relator_matrix(), tp.relator_matrix(), f)
+    m = induced_free_matrix(
+        sp.relator_matrix().to_dense(), tp.relator_matrix().to_dense(), f
+    )
     return m, sp.abelianization(), tp.abelianization()
 
 
@@ -734,9 +742,12 @@ def _component_iso_verdict(t: GroupoidMorphism, x0: str) -> Verdict:
             "free-group automorphism recognition beyond generator bijections"
         )
     if certified_abelian(sp) and certified_abelian(tp):
-        cols = [exponent_vector(images[g], tp.generators) for g in sp.generators]
-        f = IntMatrix.from_columns(cols, nrows=len(tp.generators))
-        if abelian_map_surjective(f, tp.relator_matrix()):
+        # the cokernel of the abelianized map is the target with the
+        # source images killed; the map is onto when that is trivial
+        images_killed = GroupPresentation(
+            tp.generators, tp.relators + tuple(images[g] for g in sp.generators)
+        )
+        if images_killed.abelianization() == AbelianGroup(0):
             # surjection between isomorphic finitely generated abelian
             # groups is an isomorphism
             return Verdict.verified(LEVEL_ABELIANIZED)

@@ -1,11 +1,12 @@
 """Exact linear algebra over the integers.
 
 Everything here runs on arbitrary-precision Python ints: Smith normal form
-with unimodular transformation certificates, exact solving, finitely
-generated abelian group invariants, sparse boundary matrices, and the
-groups of chain-complex homology by unit-pivot reduction followed by one
-certified Smith form per connected block of each residual boundary.  No
-floating point anywhere.
+with unimodular transformation certificates, finitely generated abelian
+group invariants, sparse boundary matrices, and the groups of chain-complex
+homology by unit-pivot reduction followed by one certified Smith form per
+connected block of each residual boundary.  Abelianization shares that
+reduction: Z^n modulo a relator lattice is H_0 of the one-boundary complex
+of its relator matrix.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -76,15 +77,6 @@ class IntMatrix:
     def __mul__(self, other):
         return self.mul(other)
 
-    def hstack(self, other: "IntMatrix") -> "IntMatrix":
-        if self.rows != other.rows:
-            raise ValueError("row mismatch in hstack")
-        return IntMatrix(
-            self.rows,
-            self.cols + other.cols,
-            [self.data[i] + other.data[i] for i in range(self.rows)],
-        )
-
     def is_zero(self) -> bool:
         return all(a == 0 for row in self.data for a in row)
 
@@ -130,6 +122,13 @@ class SparseMatrix:
         return SparseMatrix.from_terms(
             (enumerate(m.column(j)) for j in range(m.cols)), m.rows
         )
+
+    def to_dense(self) -> IntMatrix:
+        m = IntMatrix(self.rows, self.cols)
+        for j, col in enumerate(self.data):
+            for r, c in col:
+                m.data[r][j] = c
+        return m
 
     def mul(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.cols != other.rows:
@@ -328,32 +327,6 @@ def _verify_smith(a: IntMatrix, s: SmithForm):
                 raise AssertionError("smith form is not diagonal")
 
 
-def solve_columns(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    """Solve a * Y = b exactly over Z; raises ValueError if unsolvable."""
-    s = smith_normal_form(a)
-    ub = s.u.mul(b)
-    y0 = IntMatrix(a.cols, b.cols)
-    for j in range(b.cols):
-        for i in range(a.rows):
-            x = ub.data[i][j]
-            if i < s.rank:
-                q, r = divmod(x, s.diagonal[i])
-                if r != 0:
-                    raise ValueError("no integer solution")
-                y0.data[i][j] = q
-            elif x != 0:
-                raise ValueError("no integer solution")
-    return s.v.mul(y0)
-
-
-def in_column_span(a: IntMatrix, vec) -> bool:
-    try:
-        solve_columns(a, IntMatrix.from_columns([list(vec)]))
-        return True
-    except ValueError:
-        return False
-
-
 @dataclass(frozen=True)
 class AbelianGroup:
     """Invariant-factor form: Z^rank + sum of Z/d with d_i | d_{i+1}, d_i > 1."""
@@ -371,11 +344,15 @@ class AbelianGroup:
         return " + ".join(parts) if parts else "0"
 
 
-def quotient_invariants(relators: IntMatrix) -> AbelianGroup:
-    """Invariants of Z^n / column-span(relators); rows index the generators."""
-    s = smith_normal_form(relators)
-    torsion = tuple(d for d in s.diagonal if d > 1)
-    return AbelianGroup(relators.rows - s.rank, torsion)
+def quotient_invariants(relators) -> AbelianGroup:
+    """Invariants of Z^n / column-span(relators); rows index the generators.
+
+    relators is an IntMatrix or a SparseMatrix.  The quotient is H_0 of the
+    complex whose one boundary is relators, so it is read off the same
+    unit-pivot and block reduction as homology."""
+    if not isinstance(relators, SparseMatrix):
+        relators = SparseMatrix.from_dense(relators)
+    return _ChainReduction([relators]).group(0)
 
 
 def free_quotient_data(relators: IntMatrix):
@@ -411,14 +388,6 @@ def induced_free_matrix(r_src: IntMatrix, r_tgt: IntMatrix, f: IntMatrix) -> Int
         for oj, j in enumerate(free_src):
             out.data[oi][oj] = full.data[i][j]
     return out
-
-
-def abelian_map_surjective(f: IntMatrix, r_tgt: IntMatrix) -> bool:
-    """Whether f induces a surjection Z^n/im(r_src) -> Z^m/im(r_tgt):
-    the columns of f together with the target relators must span Z^m."""
-    stacked = f.hstack(r_tgt)
-    s = smith_normal_form(stacked)
-    return s.rank == f.rows and all(d == 1 for d in s.diagonal[: s.rank])
 
 
 @dataclass(frozen=True)

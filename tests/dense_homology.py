@@ -9,14 +9,13 @@ against it on small complexes.
 
 from dataclasses import dataclass
 
-from dense_matrix import kernel_basis, mul_vector
+from dense_matrix import kernel_basis, mul_vector, solve_columns
 
 from eqpi1.intlinalg import (
     AbelianGroup,
     IntMatrix,
     NotAChainComplex,
     smith_normal_form,
-    solve_columns,
 )
 
 

@@ -1,12 +1,16 @@
 """Dense IntMatrix helpers that only the tests use.
 
 The library never builds a dense matrix from rows, transposes, copies,
-takes determinants or kernel bases of, or applies one to a vector; the
-tests do, to check Smith certificates and homology independently of the
-code under test.
+stacks, takes determinants or kernel bases of, or applies one to a
+vector, and it never solves a linear system; the tests do, to check Smith
+certificates, homology and abelianization independently of the code under
+test.  solve_columns, in_column_span, abelian_map_surjective and
+dense_quotient_invariants are the library's former dense lattice routines,
+each one certified Smith form of a whole matrix, kept as oracles for the
+sparse reduction that replaced them.
 """
 
-from eqpi1.intlinalg import IntMatrix, smith_normal_form
+from eqpi1.intlinalg import AbelianGroup, IntMatrix, smith_normal_form
 
 
 def from_rows(rows) -> IntMatrix:
@@ -26,6 +30,14 @@ def transpose(a: IntMatrix) -> IntMatrix:
         for j in range(a.cols):
             t.data[j][i] = a.data[i][j]
     return t
+
+
+def hstack(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    if a.rows != b.rows:
+        raise ValueError("row mismatch in hstack")
+    return IntMatrix(
+        a.rows, a.cols + b.cols, [x + y for x, y in zip(a.data, b.data)]
+    )
 
 
 def mul_vector(a: IntMatrix, vec) -> list:
@@ -70,3 +82,43 @@ def kernel_basis(a: IntMatrix) -> IntMatrix:
     s = smith_normal_form(a)
     cols = [s.v.column(j) for j in range(s.rank, a.cols)]
     return IntMatrix.from_columns(cols, nrows=a.cols)
+
+
+def solve_columns(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """Solve a * Y = b exactly over Z; raises ValueError if unsolvable."""
+    s = smith_normal_form(a)
+    ub = s.u.mul(b)
+    y0 = IntMatrix(a.cols, b.cols)
+    for j in range(b.cols):
+        for i in range(a.rows):
+            x = ub.data[i][j]
+            if i < s.rank:
+                q, r = divmod(x, s.diagonal[i])
+                if r != 0:
+                    raise ValueError("no integer solution")
+                y0.data[i][j] = q
+            elif x != 0:
+                raise ValueError("no integer solution")
+    return s.v.mul(y0)
+
+
+def in_column_span(a: IntMatrix, vec) -> bool:
+    try:
+        solve_columns(a, IntMatrix.from_columns([list(vec)]))
+        return True
+    except ValueError:
+        return False
+
+
+def abelian_map_surjective(f: IntMatrix, r_tgt: IntMatrix) -> bool:
+    """Whether f induces a surjection onto Z^m/im(r_tgt): the columns of f
+    together with the target relators must span Z^m."""
+    s = smith_normal_form(hstack(f, r_tgt))
+    return s.rank == f.rows and all(d == 1 for d in s.diagonal[: s.rank])
+
+
+def dense_quotient_invariants(relators: IntMatrix) -> AbelianGroup:
+    """Invariants of Z^n / column-span(relators) from one Smith form."""
+    s = smith_normal_form(relators)
+    torsion = tuple(d for d in s.diagonal if d > 1)
+    return AbelianGroup(relators.rows - s.rank, torsion)

@@ -240,6 +240,26 @@ def test_induced_functor(capsys):
     assert "(Z^2 -> Z^2)" in out
 
 
+def test_induced_functor_maps_each_shared_arrow_once(
+    capsys, monkeypatch, tmp_path, bench_inputs
+):
+    # the S4 point: 714 orbit morphisms, all holding one shared arrow
+    doc = tmp_path / "point.eqp"
+    doc.write_text(bench_inputs.point_s4(0))
+    calls = []
+    original = eqpi1.cli.abelianized_isotropy_map
+
+    def counted(t, x0):
+        calls.append(x0)
+        return original(t, x0)
+
+    monkeypatch.setattr(eqpi1.cli, "abelianized_isotropy_map", counted)
+    code, out, _ = run(capsys, "induced-functor", str(doc))
+    assert code == 0
+    assert len(calls) == 1
+    assert out.count(": matrix [] (0 -> 0)") == 714
+
+
 def test_export_round_trip(capsys):
     code, out, _ = run(capsys, "export", TORUS)
     assert code == 0

@@ -7,12 +7,17 @@ from hypothesis import strategies as st
 
 from dense_homology import dense_homology
 from dense_matrix import (
+    abelian_map_surjective,
     copy,
+    dense_quotient_invariants,
     det,
     from_rows,
+    hstack,
+    in_column_span,
     is_unimodular,
     kernel_basis,
     mul_vector,
+    solve_columns,
     transpose,
 )
 
@@ -20,6 +25,13 @@ from eqpi1 import intlinalg
 from eqpi1.complexes import homology_of_complex
 from eqpi1.documents import parse_document
 from eqpi1.functors import induced_functor_from_complex
+from eqpi1.groupoids import (
+    Gen,
+    GroupPresentation,
+    PresentedGroupoid,
+    Word,
+    words_equal_verdict,
+)
 from eqpi1.groups import family_all
 from eqpi1.realize import build_space
 from eqpi1.intlinalg import (
@@ -27,16 +39,14 @@ from eqpi1.intlinalg import (
     IntMatrix,
     NotAChainComplex,
     SparseMatrix,
-    abelian_map_surjective,
     cohomology_ranks,
     free_quotient_data,
     homology,
-    in_column_span,
     induced_free_matrix,
     quotient_invariants,
     smith_normal_form,
-    solve_columns,
 )
+from eqpi1.verdicts import LEVEL_ABELIANIZED, REFUTED
 
 matrices = st.integers(0, 4).flatmap(
     lambda r: st.integers(0, 4).flatmap(
@@ -69,7 +79,7 @@ def test_matrix_basics():
     assert mul_vector(a, [1, 1]) == [3, 7]
     assert a.mul(IntMatrix.identity(2)) == a
     assert (a * a).data == [[7, 10], [15, 22]]
-    assert a.hstack(a).cols == 4
+    assert hstack(a, a).cols == 4
     assert not a.is_zero()
     assert IntMatrix(2, 3).is_zero()
     b = copy(a)
@@ -87,7 +97,7 @@ def test_matrix_shape_errors():
     with pytest.raises(ValueError):
         mul_vector(from_rows([[1, 2]]), [1])
     with pytest.raises(ValueError):
-        IntMatrix(2, 1).hstack(IntMatrix(3, 1))
+        hstack(IntMatrix(2, 1), IntMatrix(3, 1))
     with pytest.raises(ValueError):
         det(IntMatrix(2, 3))
 
@@ -183,6 +193,8 @@ def test_kernel_basis():
     assert kernel_basis(IntMatrix.identity(3)).cols == 0
 
 
+# solve_columns, in_column_span and abelian_map_surjective are the dense
+# oracles of tests/dense_matrix.py; these tests check the oracles
 def test_solve_columns():
     a = from_rows([[2, 0], [0, 3]])
     b = IntMatrix.from_columns([[4, 9]])
@@ -235,6 +247,8 @@ def test_quotient_invariants():
     assert quotient_invariants(IntMatrix(2, 0)) == AbelianGroup(2)
     assert quotient_invariants(from_rows([[1], [0]])) == AbelianGroup(1)
     assert quotient_invariants(from_rows([[0], [0]])) == AbelianGroup(2)
+    sparse = SparseMatrix.from_dense(from_rows([[2, 0], [0, 3]]))
+    assert quotient_invariants(sparse) == AbelianGroup(0, (6,))
 
 
 def test_free_quotient_data_kills_relators():
@@ -273,6 +287,58 @@ def test_abelian_map_surjective():
     assert not abelian_map_surjective(
         from_rows([[2, 0], [0, 1]]), IntMatrix(2, 0)
     )
+
+
+# small integer matrices with many zero entries, rows and columns; no
+# rows or no columns (an empty relator set) included
+entries = st.one_of(st.just(0), st.integers(-6, 6))
+
+
+def matrix_of(rows, cols):
+    return st.lists(
+        st.lists(entries, min_size=cols, max_size=cols),
+        min_size=rows, max_size=rows,
+    ).map(lambda data: IntMatrix(rows, cols, data))
+
+
+def word_of(vec):
+    """A word whose exponent sums over g0, g1, ... are vec."""
+    return tuple(
+        (f"g{i}", 1 if x > 0 else -1)
+        for i, x in enumerate(vec)
+        for _ in range(abs(x))
+    )
+
+
+@given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 3), st.data())
+@settings(max_examples=200, deadline=None)
+def test_lattice_questions_agree_with_the_dense_oracles(n, k, m, data):
+    # n generators, k relators, m images of a map into Z^n / relators
+    rels = data.draw(matrix_of(n, k))
+    vec = data.draw(st.lists(entries, min_size=n, max_size=n))
+    f = data.draw(matrix_of(n, m))
+    gens = tuple(f"g{i}" for i in range(n))
+    words = tuple(word_of(rels.column(j)) for j in range(k))
+    # abelianization by the sparse reduction
+    pres = GroupPresentation(gens, words)
+    want = dense_quotient_invariants(rels)
+    assert quotient_invariants(rels) == want
+    assert pres.abelianization() == want
+    # loop membership, the way words_equal_verdict decides it on a
+    # one-object groupoid whose isotropy is pres
+    p = PresentedGroupoid(
+        ("x",), tuple(Gen(g, "x", "x") for g in gens),
+        tuple(Word(w, at="x") for w in words),
+    )
+    v = words_equal_verdict(p, Word(word_of(vec), at="x"), Word((), at="x"))
+    assert (v.status == REFUTED) == (not in_column_span(rels, vec))
+    if v.status == REFUTED:
+        assert v.level == LEVEL_ABELIANIZED
+        assert v.witness["abelianized"] == vec
+    # surjectivity: the target with the images killed is trivial
+    images = tuple(word_of(f.column(j)) for j in range(m))
+    onto = GroupPresentation(gens, words + images).abelianization()
+    assert (onto == AbelianGroup(0)) == abelian_map_surjective(f, rels)
 
 
 def test_homology_circle():
