@@ -69,6 +69,16 @@ def _emit(report: Report, fmt: str):
         print(report.render_text())
 
 
+def _refuse(title: str, bad, fmt: str) -> int:
+    """Print the one-line report of a refuted input, given its refuted
+    Verdict or the InvalidComplex it raised; return its exit code."""
+    if isinstance(bad, InvalidComplex):
+        bad = Verdict.refuted({"detail": str(bad)}, "syntactic")
+    report = Report(title, bad)
+    _emit(report, fmt)
+    return report.exit_code()
+
+
 def _homology_lines(x, max_dim=3):
     lines = []
     described = homology_of_complex(x, max_dim=max_dim)
@@ -205,17 +215,12 @@ def cmd_fixed(args) -> int:
     title = f"fixed {name} under subgroup {args.subgroup} {sub}"
     bad = validate_complex(x)
     if bad.is_refuted:
-        report = Report(title, bad)
-        _emit(report, args.format)
-        return report.exit_code(args.strict)
-    report = Report(title)
+        return _refuse(title, bad, args.format)
     try:
         fx = fixed_subcomplex(x, sub)
     except InvalidComplex as e:
-        report.verdict = Verdict.refuted({"detail": str(e)}, "syntactic")
-        _emit(report, args.format)
-        return report.exit_code(args.strict)
-    report.verdict = Verdict.verified("syntactic")
+        return _refuse(title, e, args.format)
+    report = Report(title, Verdict.verified("syntactic"))
     report.say(
         "cells: "
         + " + ".join(str(n) for n in fx.cell_counts())
@@ -232,9 +237,7 @@ def cmd_pi1(args) -> int:
     name, x = _pick("complex", doc.complexes, args.complex)
     bad = validate_complex(x)
     if bad.is_refuted:
-        report = Report(f"pi1 {name}", bad)
-        _emit(report, args.format)
-        return report.exit_code()
+        return _refuse(f"pi1 {name}", bad, args.format)
     g = fundamental_groupoid(x)
     report = Report(f"pi1 {name}")
     report.say("objects: " + " ".join(g.objects))
@@ -259,13 +262,15 @@ def cmd_pi1(args) -> int:
 def cmd_induced_functor(args) -> int:
     doc = parse_path(args.file)
     name, x = _pick("complex", doc.complexes, args.complex)
+    title = f"induced functor of {name}"
     bad = validate_complex(x)
     if bad.is_refuted:
-        report = Report(f"induced functor of {name}", bad)
-        _emit(report, args.format)
-        return report.exit_code(args.strict)
-    functor = induced_functor_from_complex(x, doc.family)
-    report = Report(f"induced functor of {name}")
+        return _refuse(title, bad, args.format)
+    try:
+        functor = induced_functor_from_complex(x, doc.family)
+    except InvalidComplex as e:
+        return _refuse(title, e, args.format)
+    report = Report(title)
     report.add(Report("functor laws", validate_functoriality(functor)))
     vals = report.add(Report("values"))
     for hid in functor.category.objects:

@@ -58,14 +58,13 @@ class Solid(NamedTuple):
 
 @dataclass(frozen=True)
 class GCellComplex:
-    """A cell complex with a group action.  Construction checks the cells
-    and builds the integer cell index (_index), once per complex: every
-    cell at a position, in the order vertices, edges, faces, solids; per
-    element the image position and sign of each position; per cell the
-    bitmask of the elements that fix it with sign +1.  Building the index
-    refuses an action that misses an element or a cell, changes a cell's
-    dimension, or has a sign other than +-1 (+1 on vertices).  The action
-    dict must not be changed afterwards."""
+    """A cell complex with a group action.  Construction builds the integer
+    cell index (_index), once per complex, and building it is what checks
+    the cells and the action: every cell at a position, in the order
+    vertices, edges, faces, solids; per cell its boundary terms over those
+    positions; per element the image position and sign of each position;
+    per cell the bitmask of the elements that fix it with sign +1.  The
+    action dict must not be changed afterwards."""
 
     group: FiniteGroup
     vertices: tuple
@@ -75,39 +74,7 @@ class GCellComplex:
     action: dict = field(compare=False)  # element -> {label: (label, sign)}
 
     def __post_init__(self):
-        labels = set()
-        for lab in self.all_labels():
-            if lab in labels:
-                raise InvalidComplex(f"duplicate cell label {lab!r}")
-            labels.add(lab)
-        vset = set(self.vertices)
-        for e in self.edges:
-            if e.source not in vset or e.target not in vset:
-                raise InvalidComplex(f"edge {e.label!r} has a missing endpoint")
-        eset = {e.label for e in self.edges}
-        for f in self.faces:
-            if not f.word.letters:
-                if f.word.at not in vset:
-                    raise InvalidComplex(
-                        f"face {f.label!r} has an empty word without a vertex anchor"
-                    )
-            for lab, exp in f.word.letters:
-                if lab not in eset:
-                    raise InvalidComplex(
-                        f"face {f.label!r} uses unknown edge {lab!r}"
-                    )
-                if exp not in (1, -1):
-                    raise InvalidComplex(
-                        f"face {f.label!r} has a letter with exponent {exp}"
-                    )
-        fset = {f.label for f in self.faces}
-        for s in self.solids:
-            for coef, lab in s.chain:
-                if lab not in fset:
-                    raise InvalidComplex(
-                        f"solid {s.label!r} uses unknown face {lab!r}"
-                    )
-        self._index  # builds the cell index, which checks the action
+        self._index  # builds the cell index, which checks the cells and the action
 
     def all_labels(self):
         for v in self.vertices:
@@ -152,23 +119,12 @@ class GCellComplex:
 
     @cached_property
     def _boundaries(self) -> list:
-        """Sparse matrices of d1, d2, d3, built once per complex; callers
-        must not mutate them."""
-        pos, start = self._index.pos, self._index.start
-        n1, n2 = start[1], start[2]
-        return [
-            SparseMatrix.from_terms(
-                (((pos[e.target], 1), (pos[e.source], -1)) for e in self.edges),
-                n1,
-            ),
-            SparseMatrix.from_terms(
-                (((pos[lab] - n1, exp) for lab, exp in f.word.letters) for f in self.faces),
-                n2 - n1,
-            ),
-            SparseMatrix.from_terms(
-                (((pos[lab] - n2, coef) for coef, lab in s.chain) for s in self.solids),
-                start[3] - n2,
-            ),
+        """Sparse matrices of d1, d2, d3, built once per complex from the
+        boundary terms of the cell index; callers must not mutate them."""
+        terms, start = self._index.terms, self._index.start
+        return [  # the rows of d_k are the cells of dimension k - 1, from position lo
+            SparseMatrix.from_terms(([(j - lo, c) for j, c in t] for t in terms[hi:top]), hi - lo)
+            for lo, hi, top in zip(start, start[1:], start[2:])
         ]
 
     @cached_property
@@ -197,11 +153,15 @@ class GCellComplex:
 
 class CellIndex(NamedTuple):
     """The cells of a complex at dense integer positions, in all_labels()
-    order, and the action on those positions."""
+    order, their boundaries over those positions, and the action on them."""
 
     labels: list  # position -> label
     start: tuple  # the first position of each dimension 0..3, then the cell count
-    pos: dict  # label -> position
+    # position -> boundary terms (position, coef): () for a vertex,
+    # (target, 1), (source, -1) for an edge, the attaching word's letters
+    # in order for a face, the chain's terms in order for a solid
+    terms: list
+    anchor: dict  # face position -> vertex position, for an empty face word
     perm: list  # element -> image position of each position
     sign: list  # element -> sign of the image of each position
     stab: list  # position -> bitmask of the elements fixing the cell with sign +1
@@ -209,15 +169,54 @@ class CellIndex(NamedTuple):
 
 
 def _cell_index(x: GCellComplex) -> CellIndex:
-    """Check that every element acts on every cell, by a cell of the same
-    dimension with sign +-1 (+1 on vertices), and index the action.  An
-    element's entries are checked in action-table order, so the first
-    offending entry names the refusal."""
+    """Check the cells and index them, then the action.  The cells are
+    refused at the first duplicate label, then at the first edge with an
+    endpoint that is not a vertex, then face by face and letter by letter
+    (an empty word anchored off the vertices, a letter that names no edge
+    or has an exponent other than +-1), then at the first solid whose
+    chain names no face.  Every element must send every cell to a cell of
+    the same dimension with sign +-1 (+1 on vertices); an element's
+    entries are checked in action-table order, so the first offending
+    entry names the refusal."""
     labels = list(x.all_labels())
     n = len(labels)
-    pos = dict(zip(labels, range(n)))
+    pos = {}
+    for i, lab in enumerate(labels):
+        if pos.setdefault(lab, i) != i:
+            raise InvalidComplex(f"duplicate cell label {lab!r}")
     counts = x.cell_counts()
     start = (0, *accumulate(counts))
+    _, e0, f0, s0, _ = start
+    terms, anchor, letter = [()] * e0, {}, {}  # letter: (label, +-1) -> (position, +-1)
+    for i, e in enumerate(x.edges, e0):
+        a, b = pos.get(e.source, n), pos.get(e.target, n)
+        if a >= e0 or b >= e0:
+            raise InvalidComplex(f"edge {e.label!r} has a missing endpoint")
+        terms.append(((b, 1), (a, -1)))
+        letter[e.label, 1], letter[e.label, -1] = (i, 1), (i, -1)
+    for i, f in enumerate(x.faces, f0):
+        if not f.word.letters:
+            anchor[i] = pos.get(f.word.at, n)
+            if anchor[i] >= e0:
+                raise InvalidComplex(
+                    f"face {f.label!r} has an empty word without a vertex anchor"
+                )
+        word = tuple(map(letter.get, f.word.letters))
+        if None in word:  # some letter is refused: name the first
+            for lab, exp in f.word.letters:
+                if not e0 <= pos.get(lab, n) < f0:
+                    raise InvalidComplex(f"face {f.label!r} uses unknown edge {lab!r}")
+                if exp not in (1, -1):
+                    raise InvalidComplex(f"face {f.label!r} has a letter with exponent {exp}")
+        terms.append(word)
+    for s in x.solids:
+        chain = []
+        for coef, lab in s.chain:
+            j = pos.get(lab, n)
+            if not f0 <= j < s0:
+                raise InvalidComplex(f"solid {s.label!r} uses unknown face {lab!r}")
+            chain.append((j, coef))
+        terms.append(tuple(chain))
     dims = []  # position -> dimension
     for d, c in enumerate(counts):
         dims += [d] * c
@@ -254,7 +253,7 @@ def _cell_index(x: GCellComplex) -> CellIndex:
                 stab[i] |= bit
             elif flipped is None:
                 flipped = (g, i)
-    return CellIndex(labels, start, pos, perm, sign, stab, flipped)
+    return CellIndex(labels, start, terms, anchor, perm, sign, stab, flipped)
 
 
 def _chain_normal(chain) -> tuple:
@@ -284,7 +283,7 @@ def _action_refutation(x: GCellComplex, gs):
     every h) and to respect edge endpoints, attaching words and solid
     boundaries, each for the elements g in gs; fixed cells keep
     orientation is checked for every element, since it is not closed under
-    composition.  Every check reads the cell index."""
+    composition.  Every check reads the cell index and its boundary terms."""
     idx = x._index
     labels, perm, sign = idx.labels, idx.perm, idx.sign
     for g in gs:
@@ -311,9 +310,9 @@ def _action_refutation(x: GCellComplex, gs):
                     LEVEL_SYNTACTIC,
                 )
 
-    pos, (_, e0, f0, s0, _) = idx.pos, idx.start
-    ends = [(pos[e.source], pos[e.target]) for e in x.edges]
-    words = [tuple((pos[lab], exp) for lab, exp in f.word.letters) for f in x.faces]
+    _, e0, f0, s0, _ = idx.start
+    ends = [(a, b) for (b, _), (a, _) in idx.terms[e0:f0]]
+    words = idx.terms[f0:s0]
     chains = [dict(col) for col in x._boundaries[2].data]  # face offset -> coef
     for g in gs:
         pg, sg = perm[g], sign[g]
@@ -421,44 +420,39 @@ def fixed_cells(x: GCellComplex, h: Subgroup) -> tuple:
     return tuple([mask & hmask == hmask for mask in x._index.stab])
 
 
+def fixed_parts(x: GCellComplex, keep) -> tuple:
+    """The cells of x at the positions keep selects, as (vertices, edges,
+    faces, solids).  Raises InvalidComplex when they do not close up under
+    boundaries, naming the first kept cell in index order whose boundary
+    reaches a cell that is not kept."""
+    if all(keep):  # x itself is closed
+        return x.vertices, x.edges, x.faces, x.solids
+    idx = x._index
+    labels, terms, anchor, start = idx.labels, idx.terms, idx.anchor, idx.start
+    _, e0, f0, s0, n = start
+    for i in compress(range(e0, n), keep[e0:]):
+        outside = [j for j, _ in terms[i] if not keep[j]]
+        if i in anchor and not keep[anchor[i]]:
+            problem = "anchored off the fixed part"
+        elif not outside:
+            continue
+        elif i < f0:
+            problem = "has an unfixed endpoint"
+        else:
+            problem = f"uses unfixed {'edge' if i < s0 else 'face'} {labels[outside[0]]!r}"
+        kind = "edge" if i < f0 else "face" if i < s0 else "solid"
+        raise InvalidComplex(f"fixed cells are not a subcomplex: {kind} {labels[i]!r} {problem}")
+    return tuple(
+        tuple(compress(cells, keep[lo:hi]))
+        for cells, lo, hi in zip((x.vertices, x.edges, x.faces, x.solids), start, start[1:])
+    )
+
+
 def fixed_subcomplex(x: GCellComplex, h: Subgroup) -> GCellComplex:
     """Cells fixed (with orientation) by every element of h, as a complex
     without group action.  Raises InvalidComplex when the fixed cells do not
     close up under boundaries."""
-    keep = fixed_cells(x, h)
-    start = x._index.start
-    vs, es, fs, ss = (
-        tuple(compress(cells, keep[lo:hi]))
-        for cells, lo, hi in zip(
-            (x.vertices, x.edges, x.faces, x.solids), start, start[1:]
-        )
-    )
-    if not all(keep):  # when every cell is fixed, x itself is closed
-        vset = set(vs)
-        eset = {e.label for e in es}
-        fset = {f.label for f in fs}
-        for e in es:
-            if e.source not in vset or e.target not in vset:
-                raise InvalidComplex(
-                    f"fixed cells are not a subcomplex: edge {e.label!r} has an unfixed endpoint"
-                )
-        for f in fs:
-            if not f.word.letters and f.word.at not in vset:
-                raise InvalidComplex(
-                    f"fixed cells are not a subcomplex: face {f.label!r} anchored off the fixed part"
-                )
-            for lab, _ in f.word.letters:
-                if lab not in eset:
-                    raise InvalidComplex(
-                        f"fixed cells are not a subcomplex: face {f.label!r} uses unfixed edge {lab!r}"
-                    )
-        for s in ss:
-            for _, lab in s.chain:
-                if lab not in fset:
-                    raise InvalidComplex(
-                        f"fixed cells are not a subcomplex: solid {s.label!r} uses unfixed face {lab!r}"
-                    )
-    return _plain_complex(vs, es, fs, ss)
+    return _plain_complex(*fixed_parts(x, fixed_cells(x, h)))
 
 
 def fundamental_groupoid(x: GCellComplex) -> PresentedGroupoid:

@@ -27,14 +27,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain
 
-from .complexes import (
-    CellularMap,
-    GCellComplex,
-    InvalidComplex,
-    fixed_cells,
-    fixed_subcomplex,
-    fundamental_groupoid,
-)
+from .complexes import CellularMap, GCellComplex, InvalidComplex, fixed_cells, fixed_parts
 from .groups import Subgroup, family_all
 from .groupoids import (
     GroupoidMorphism,
@@ -298,15 +291,16 @@ def induced_functor_from_complex(x: GCellComplex, family=None) -> OrbFunctor:
 
 def _induced_functor(x: GCellComplex, cat: OrbitCategory) -> OrbFunctor:
     """induced_functor_from_complex on an orbit category already built for
-    the complex's group.  Subgroups with the same fixed cells (the same
-    keep-mask) share one value, and morphisms with the same endpoint
-    values and the same object and generator images share one arrow."""
+    the complex's group.  Each value is the fundamental groupoid of the
+    cells its subgroup's keep-mask selects; subgroups with the same
+    keep-mask share one value, and morphisms with the same endpoint values
+    and the same object and generator images share one arrow."""
     values, by_keep = {}, {}
     for hid in cat.objects:
-        sub = cat.subgroups[hid]
-        keep = fixed_cells(x, sub)
+        keep = fixed_cells(x, cat.subgroups[hid])
         if keep not in by_keep:
-            by_keep[keep] = fundamental_groupoid(fixed_subcomplex(x, sub))
+            vs, es, fs, _ = fixed_parts(x, keep)
+            by_keep[keep] = PresentedGroupoid(vs, es, tuple(f.word for f in fs))
         values[hid] = by_keep[keep]
     arrows, shared = {}, {}
     for m in cat.morphisms():

@@ -99,11 +99,11 @@ def free_reduce_letters(letters) -> tuple:
 
 
 def cyclic_reduce_letters(letters) -> tuple:
-    w = list(free_reduce_letters(letters))
-    while len(w) >= 2 and w[0][0] == w[-1][0] and w[0][1] == -w[-1][1]:
-        w = w[1:-1]
-        w = list(free_reduce_letters(w))
-    return tuple(w)
+    w = free_reduce_letters(letters)  # its interior stays reduced as ends are stripped
+    i, j = 0, len(w) - 1
+    while i < j and w[i][0] == w[j][0] and w[i][1] == -w[j][1]:
+        i, j = i + 1, j - 1
+    return w[i:j + 1]
 
 
 def canonical_cyclic(letters) -> tuple:

@@ -1,14 +1,18 @@
 """The integer cell index of a G-complex.
 
 GCellComplex builds one index per complex when it is constructed: every
-cell at a position (vertices, edges, faces, solids, each in order), and
-per element a permutation and a sign list of those positions, and per
-cell the bitmask of the elements that fix it with sign +1.  Building it
-checks the action, with the refusal messages of the former label-keyed
-checks, pinned below.
+cell at a position (vertices, edges, faces, solids, each in order), per
+cell its boundary terms over those positions, per element a permutation
+and a sign list of those positions, and per cell the bitmask of the
+elements that fix it with sign +1.  Building it checks the cells and the
+action, with the refusal messages of the former label-keyed checks,
+pinned below and in tests/test_complexes.py.  The boundary matrices read
+the stored terms; they are compared with the former label-keyed
+construction in tests/naive_boundaries.py.
 
-fixed_subcomplex takes the cells whose stabilizer mask contains the
-subgroup.  It is compared with the former construction in
+fixed_parts takes the cells whose stabilizer mask contains the subgroup
+and checks that they close up on the stored terms; fixed_subcomplex
+wraps them in a complex.  It is compared with the former construction in
 tests/naive_fixed.py on realized cones, the S4 point, the shipped
 documents and the corrupted actions of tests/test_action_generators.py.
 """
@@ -17,6 +21,7 @@ import pytest
 from conftest import data_file
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from naive_boundaries import naive_boundaries
 from naive_fixed import naive_fixed_subcomplex
 from test_action_generators import cell_labels, corrupt, s3_triangle, twist
 from test_law_generators import s4_swapped_loops
@@ -36,7 +41,7 @@ from eqpi1.functors import induced_functor_from_complex
 from eqpi1.groupoids import Word
 from eqpi1.groups import cyclic_group, family_all, trivial_group
 from eqpi1.intlinalg import SparseMatrix
-from eqpi1.realize import build_space
+from eqpi1.realize import build_space, verify_fundamental_functor
 from eqpi1.verdicts import VERIFIED
 
 SHIPPED = ("torus_z2.eqp", "reflection_circle_z2.eqp", "free_s0_z2.eqp")
@@ -98,6 +103,19 @@ def same_fixed(x):
         assert got == fixed_outcome(naive_fixed_subcomplex, x, h)
         refused += isinstance(got, str)
     return refused
+
+
+def same_boundaries(x):
+    """The boundary matrices against the label-keyed oracle."""
+    got, want = x._boundaries, naive_boundaries(x)
+    assert [(d.rows, d.cols, d.data) for d in got] == [
+        (d.rows, d.cols, d.data) for d in want
+    ]
+
+
+def test_boundaries_match_the_oracle(spaces):
+    for x in spaces:
+        same_boundaries(x)
 
 
 def test_index_reads_like_the_action(spaces):
@@ -185,11 +203,10 @@ def test_construction_refusals_keep_their_messages(group, action, message):
 
 
 def test_cell_index_is_built_once(bench_inputs, monkeypatch):
-    # the realized cone C6: building the space indexes it once, and
-    # validate_complex and every fixed subcomplex read that index; each
-    # fixed subcomplex, a complex of its own, is indexed once
+    # one cone C6 pipeline indexes one complex, the realized space: the
+    # induced functors of the cone and of the space read their fixed sets
+    # as masks over the index they already have
     (x,) = parse_document(bench_inputs.cone(6, 0)).complexes.values()
-    f = induced_functor_from_complex(x, family_all(x.group))
     builds = []
     build = complexes._cell_index
 
@@ -198,12 +215,13 @@ def test_cell_index_is_built_once(bench_inputs, monkeypatch):
         return build(y)
 
     monkeypatch.setattr(complexes, "_cell_index", counted_build)
-    space = build_space(f).space
+    f = induced_functor_from_complex(x, family_all(x.group))
+    result = build_space(f)
+    space = result.space
     assert space.cell_counts() == (7, 72, 468, 216)
     assert validate_complex(space).status == VERIFIED
-    fixed = [fixed_subcomplex(space, f.category.subgroups[h]) for h in f.category.objects]
-    assert [y is space for y in builds] == [True] + [False] * len(fixed)
-    assert all(any(y is b for b in builds) for y in fixed)
+    assert verify_fundamental_functor(f, result).combined.status == VERIFIED
+    assert len(builds) == 1 and builds[0] is space
 
 
 def test_chain_check_multiplies_once(bench_inputs, monkeypatch):

@@ -196,6 +196,29 @@ def test_fixed_subcomplex_unclosed(capsys, tmp_path):
     assert "not a subcomplex" in out
 
 
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+def test_induced_functor_refuses_an_unclosed_fixed_set(capsys, tmp_path, fmt):
+    # the complex validates, but its fixed set under the generator is not
+    # a subcomplex: refuted with the detail, as `fixed` reports it, and
+    # not an internal error
+    doc = tmp_path / "pinch.eqp"
+    doc.write_text(UNCLOSED_FIXED_DOC)
+    code, out, err = run(capsys, "induced-functor", str(doc), "--format", fmt)
+    assert (code, err) == (1, "")
+    detail = "fixed cells are not a subcomplex: face 'c' uses unfixed edge 'a'"
+    if fmt == "text":
+        assert out == (
+            f"induced functor of pinch: refuted[syntactic] witness={{'detail': {detail!r}}}\n"
+        )
+    else:
+        assert json.loads(out) == {
+            "title": "induced functor of pinch",
+            "verdict": {
+                "level": "syntactic", "status": "refuted", "witness": {"detail": detail},
+            },
+        }
+
+
 ORIENTATION = "{'check': 'fixed cells keep orientation', 'element': 1, 'cell': 'a'}"
 CLOSED = "{'check': 'face word closed', 'face': 'f', 'ends': ('v', 'w')}"
 

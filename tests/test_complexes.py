@@ -47,54 +47,107 @@ def homology_strings(x, max_dim=3):
     return [str(h.group) for h in homology_of_complex(x, max_dim=max_dim)]
 
 
+def refusal(vertices, edges=(), faces=(), solids=(), action=None) -> str:
+    """The InvalidComplex message of constructing these cells over the
+    trivial group, with the trivial action unless one is given."""
+    labels = [*vertices, *(c.label for c in (*edges, *faces, *solids))]
+    with pytest.raises(InvalidComplex) as e:
+        GCellComplex(
+            trivial_group(), tuple(vertices), tuple(edges), tuple(faces),
+            tuple(solids), trivial_action(labels) if action is None else action,
+        )
+    return str(e.value)
+
+
+LOOP_A = Edge("a", "v", "v")
+
+
 def test_structural_validation():
-    tg = trivial_group()
-    with pytest.raises(InvalidComplex):
-        GCellComplex(tg, ("v", "v"), (), (), (), trivial_action(["v"]))
-    with pytest.raises(InvalidComplex):
-        GCellComplex(
-            tg, ("v",), (Edge("v", "v", "v"),), (), (),
-            trivial_action(["v", "v"]),
-        )
-    with pytest.raises(InvalidComplex):
-        GCellComplex(
-            tg, ("v",), (Edge("a", "v", "w"),), (), (),
-            trivial_action(["v", "a"]),
-        )
-    with pytest.raises(InvalidComplex):
-        GCellComplex(
-            tg, ("v",), (), (Face("c", Word.gen("a")),), (),
-            trivial_action(["v", "c"]),
-        )
-    with pytest.raises(InvalidComplex):
-        GCellComplex(
-            tg, ("v",), (Edge("a", "v", "v"),),
-            (Face("c", Word((("a", 2),))),), (),
-            trivial_action(["v", "a", "c"]),
-        )
-    with pytest.raises(InvalidComplex):
-        GCellComplex(
-            tg, ("v",), (), (Face("c", Word((), at="zz")),), (),
-            trivial_action(["v", "c"]),
-        )
-    with pytest.raises(InvalidComplex):
-        GCellComplex(
-            tg, ("v",), (), (), (Solid("s", ((1, "c"),)),),
-            trivial_action(["v", "s"]),
-        )
-    with pytest.raises(InvalidComplex):
-        GCellComplex(tg, ("v",), (), (), (), {})
-    with pytest.raises(InvalidComplex):
-        GCellComplex(tg, ("v",), (), (), (), {0: {}})
-    with pytest.raises(InvalidComplex):
-        # a vertex may not pick up a sign
-        GCellComplex(tg, ("v",), (), (), (), {0: {"v": ("v", -1)}})
-    with pytest.raises(InvalidComplex):
-        # dimension mixing
-        GCellComplex(
-            tg, ("v",), (Edge("a", "v", "v"),), (), (),
-            {0: {"v": ("a", 1), "a": ("v", 1)}},
-        )
+    assert refusal(("v", "v")) == "duplicate cell label 'v'"
+    assert refusal(("v",), (Edge("v", "v", "v"),)) == "duplicate cell label 'v'"
+    assert refusal(("v",), (Edge("a", "v", "w"),)) == "edge 'a' has a missing endpoint"
+    assert (
+        refusal(("v",), (), (Face("c", Word.gen("a")),))
+        == "face 'c' uses unknown edge 'a'"
+    )
+    assert (
+        refusal(("v",), (LOOP_A,), (Face("c", Word((("a", 2),))),))
+        == "face 'c' has a letter with exponent 2"
+    )
+    assert (
+        refusal(("v",), (), (Face("c", Word((), at="zz")),))
+        == "face 'c' has an empty word without a vertex anchor"
+    )
+    assert (
+        refusal(("v",), (), (), (Solid("s", ((1, "c"),)),))
+        == "solid 's' uses unknown face 'c'"
+    )
+    assert refusal(("v",), action={}) == "action of element 0 is missing"
+    assert (
+        refusal(("v",), action={0: {}})
+        == "action of element 0 is not defined on every cell"
+    )
+    # a vertex may not pick up a sign
+    assert refusal(("v",), action={0: {"v": ("v", -1)}}) == "action of 0 on 'v' has sign -1"
+    # dimension mixing
+    assert (
+        refusal(("v",), (LOOP_A,), action={0: {"v": ("a", 1), "a": ("v", 1)}})
+        == "action of 0 sends 'v' to 'a' of a different dimension"
+    )
+
+
+@pytest.mark.parametrize(
+    "cells, message",
+    [
+        # the first repeated label in all_labels() order: v b b v
+        ((("v", "b"), (Edge("b", "v", "v"), Edge("v", "v", "v"))),
+         "duplicate cell label 'b'"),
+        # a duplicate before a broken edge
+        ((("v",), (Edge("a", "v", "w"), Edge("a", "v", "v"))),
+         "duplicate cell label 'a'"),
+        # an endpoint must be a vertex, not some other cell
+        ((("v",), (Edge("a", "v", "a"),)), "edge 'a' has a missing endpoint"),
+        ((("v",), (Edge("a", "v", "v"), Edge("b", "w", "v"), Edge("c", "v", "w"))),
+         "edge 'b' has a missing endpoint"),
+        # a broken edge before a broken face
+        ((("v",), (Edge("a", "v", "w"),), (Face("c", Word.gen("zz")),)),
+         "edge 'a' has a missing endpoint"),
+        # an empty word's anchor must be a vertex
+        ((("v",), (LOOP_A,), (Face("c", Word((), at="a")),)),
+         "face 'c' has an empty word without a vertex anchor"),
+        ((("v",), (), (Face("c", Word(())),)),
+         "face 'c' has an empty word without a vertex anchor"),
+        # a letter must name an edge, not some other cell
+        ((("v",), (LOOP_A,), (Face("c", Word.gen("v")),)),
+         "face 'c' uses unknown edge 'v'"),
+        ((("v",), (LOOP_A,), (Face("c", Word.gen("c")),)),
+         "face 'c' uses unknown edge 'c'"),
+        # letter by letter: an exponent before a later unknown edge ...
+        ((("v",), (LOOP_A,), (Face("c", Word((("a", 2), ("zz", 1)))),)),
+         "face 'c' has a letter with exponent 2"),
+        # ... and within one letter the edge before its exponent
+        ((("v",), (LOOP_A,), (Face("c", Word((("a", 1), ("zz", 0)))),)),
+         "face 'c' uses unknown edge 'zz'"),
+        # faces in order, each one whole before the next
+        ((("v",), (LOOP_A,),
+          (Face("c", Word((("a", 1), ("a", -1)))), Face("d", Word((("a", 3),))),
+           Face("f", Word.gen("zz")))),
+         "face 'd' has a letter with exponent 3"),
+        # a broken face before a broken solid
+        ((("v",), (LOOP_A,), (Face("c", Word.gen("zz")),), (Solid("s", ((1, "y"),)),)),
+         "face 'c' uses unknown edge 'zz'"),
+        # a chain must name faces, not some other cell
+        ((("v",), (LOOP_A,), (), (Solid("s", ((1, "a"),)),)),
+         "solid 's' uses unknown face 'a'"),
+        ((("v",), (LOOP_A,), (Face("c", Word.gen("a")),),
+          (Solid("s", ((1, "c"), (0, "y"))), Solid("t", ((1, "z"),)))),
+         "solid 's' uses unknown face 'y'"),
+        # the cells before the action
+        ((("v",), (Edge("a", "v", "w"),), (), (), {}), "edge 'a' has a missing endpoint"),
+    ],
+)
+def test_structural_refusals_keep_their_messages_and_order(cells, message):
+    assert refusal(*cells) == message
 
 
 def test_cell_bookkeeping():
@@ -369,6 +422,50 @@ def test_fixed_subcomplex_must_close():
     assert validate_complex(x).status == VERIFIED
     with pytest.raises(InvalidComplex):
         fixed_subcomplex(x, Subgroup((0, 1)))
+
+
+def swapped(vertices, edges, faces, solids, moves):
+    """Cells over Z/2 whose generator makes the given moves, each a cell
+    label to (label, sign), and fixes every other cell; the action is not
+    validated."""
+    cells = [*vertices, *(c.label for c in (*edges, *faces, *solids))]
+    one = {lab: moves.get(lab, (lab, 1)) for lab in cells}
+    return GCellComplex(
+        cyclic_group(2), vertices, edges, faces, solids,
+        {0: {lab: (lab, 1) for lab in cells}, 1: one},
+    )
+
+
+VW = {"v": ("w", 1), "w": ("v", 1)}
+
+
+@pytest.mark.parametrize(
+    "x, message",
+    [
+        (swapped(("v", "w"), (Edge("a", "v", "w"),), (), (), VW),
+         "edge 'a' has an unfixed endpoint"),
+        (swapped(("v", "w"), (), (Face("c", Word((), at="v")),), (), VW),
+         "face 'c' anchored off the fixed part"),
+        (swapped(("v",), (Edge("a", "v", "v"), Edge("b", "v", "v")),
+                 (Face("c", Word((("a", 1), ("b", 1)))),), (),
+                 {"a": ("b", 1), "b": ("a", 1)}),
+         "face 'c' uses unfixed edge 'a'"),
+        (swapped(("v",), (Edge("a", "v", "v"),),
+                 (Face("c1", Word.gen("a")), Face("c2", Word.gen("a")),
+                  Face("c3", Word.gen("a"))),
+                 (Solid("s", ((1, "c3"), (1, "c2"), (-1, "c1"))),),
+                 {"c1": ("c2", 1), "c2": ("c1", 1)}),
+         "solid 's' uses unfixed face 'c2'"),
+        # the first kept cell in index order: an edge before a face
+        (swapped(("v", "w"), (Edge("a", "v", "v"), Edge("b", "v", "w")),
+                 (Face("c", Word((), at="w")),), (), VW),
+         "edge 'a' has an unfixed endpoint"),
+    ],
+)
+def test_fixed_cells_that_do_not_close_keep_their_messages(x, message):
+    with pytest.raises(InvalidComplex) as e:
+        fixed_subcomplex(x, Subgroup((0, 1)))
+    assert str(e.value) == "fixed cells are not a subcomplex: " + message
 
 
 def test_cellular_map_validate():

@@ -20,6 +20,7 @@ in tests/test_action_generators.py.
 
 The properties: validate_complex agrees with tests/naive_validate.py,
 fixed_subcomplex agrees with tests/naive_fixed.py for every subgroup,
+the boundary matrices agree with tests/naive_boundaries.py,
 and the Euler characteristic is the alternating sum of the free ranks of
 H_0..H_3.  When every fixed set is a subcomplex, the induced functor
 obeys the functor laws, and its realization validates, induces a functor
@@ -32,7 +33,7 @@ from collections import deque
 from hypothesis import event, given, reject, settings
 from hypothesis import strategies as st
 from test_action_generators import cell_labels, corrupt, same_verdict
-from test_cell_index import same_fixed
+from test_cell_index import same_boundaries, same_fixed
 
 from eqpi1.complexes import (
     Edge,
@@ -211,6 +212,7 @@ def g_complexes(draw):
 def test_generated_complexes_verify_like_the_oracle(x):
     assert same_verdict(x).status == VERIFIED
     same_fixed(x)
+    same_boundaries(x)
 
 
 @given(x=g_complexes())

@@ -3,6 +3,7 @@ from itertools import product
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from naive_cyclic_reduce import naive_cyclic_reduce_letters
 from naive_forest import naive_component_of, naive_components, naive_isotropy_data
 from naive_relator_match import naive_match_relator
 from naive_tietze import naive_simplify_presentation
@@ -108,6 +109,16 @@ def test_letter_helpers():
     assert substitute_letters(
         (("c", 1), ("a", -1)), {"c": (("a", 1), ("b", 1)), "a": (("a", 1),)}
     ) == (("a", 1), ("b", 1), ("a", -1))
+
+
+@given(
+    st.lists(
+        st.tuples(st.sampled_from("ab"), st.sampled_from((1, -1))), max_size=11
+    ).map(tuple)
+)
+@settings(max_examples=500)
+def test_cyclic_reduce_matches_the_repeated_reduction(letters):
+    assert cyclic_reduce_letters(letters) == naive_cyclic_reduce_letters(letters)
 
 
 @given(letters_strategy)

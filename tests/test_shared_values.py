@@ -260,7 +260,7 @@ def test_s4_point_work_counts(bench_inputs, monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     for module, name in (
-        (functors, "fixed_subcomplex"),
+        (functors, "fixed_parts"),
         (functors, "_equal_as_free"),
         (realize, "equivalence_report"),
         (realize, "strict_isomorphism_report"),
@@ -273,7 +273,7 @@ def test_s4_point_work_counts(bench_inputs, monkeypatch):
     check = verify_fundamental_functor(f, result)
     assert check.combined.status == "verified"
     assert len(f.category.morphisms()) == 714
-    assert counts["fixed_subcomplex"] <= 2  # one per induced functor
+    assert counts["fixed_parts"] <= 2  # one per induced functor
     assert counts["_equal_as_free"] <= 40
     assert counts["_same_as_composite"] <= 2
     assert counts["equivalence_report"] == 1
