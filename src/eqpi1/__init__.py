@@ -23,7 +23,6 @@ from .groupoids import (
     PresentedGroupoid,
     Word,
     abelianized_isotropy_map,
-    check_respects_relations,
     compose_morphisms,
     equivalence_report,
     identity_morphism,
@@ -40,7 +39,6 @@ from .intlinalg import (
     smith_normal_form,
 )
 from .complexes import (
-    CellularMap,
     Edge,
     Face,
     GCellComplex,
@@ -48,23 +46,18 @@ from .complexes import (
     fixed_subcomplex,
     fundamental_groupoid,
     homology_of_complex,
-    identity_cellular_map,
-    presentation_complex,
     validate_complex,
 )
 from .functors import (
     NaturalTransformation,
     OrbFunctor,
-    equivalence_of_functors,
     induced_functor_from_complex,
-    induced_transformation,
     make_functor,
     validate_functoriality,
 )
 from .realize import (
     CoendResult,
     RealizationResult,
-    build_homotopy_coend,
     build_space,
     verify_fundamental_functor,
     verify_step2,

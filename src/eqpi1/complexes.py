@@ -13,7 +13,7 @@ Boundary conventions:
   d3(solid) = its chain
 
 Everything downstream (homology, fixed subcomplexes, fundamental
-groupoids, cellular maps) works with these conventions.
+groupoids) works with these conventions.
 """
 
 from __future__ import annotations
@@ -25,16 +25,7 @@ from operator import eq, mul
 from typing import NamedTuple
 
 from .groups import FiniteGroup, Subgroup, trivial_group
-from .groupoids import (
-    Gen,
-    PresentedGroupoid,
-    Word,
-    cyclic_reduce_letters,
-    expand_letters,
-    invert_letters,
-    rotation_equal,
-    walk_word,
-)
+from .groupoids import Gen, PresentedGroupoid, Word, invert_letters, rotation_equal
 from .intlinalg import NotAChainComplex, SparseMatrix, unchecked_homology
 from .verdicts import LEVEL_SYNTACTIC, Verdict
 
@@ -91,31 +82,12 @@ class GCellComplex:
         """The integer cell index, built and checked once per complex."""
         return _cell_index(self)
 
-    @cached_property
-    def edge_by_label(self):
-        return {e.label: e for e in self.edges}
-
-    @cached_property
-    def face_by_label(self):
-        return {f.label: f for f in self.faces}
-
     def cell_counts(self) -> tuple:
         return (len(self.vertices), len(self.edges), len(self.faces), len(self.solids))
 
     def euler_characteristic(self) -> int:
         n0, n1, n2, n3 = self.cell_counts()
         return n0 - n1 + n2 - n3
-
-    def translate_word(self, g, word: Word) -> Word:
-        """Apply g to an edge word letter by letter."""
-        out = []
-        for lab, exp in word.letters:
-            img, sign = self.action[g][lab]
-            out.append((img, exp * sign))
-        at = None
-        if word.at is not None:
-            at = self.action[g][word.at][0]
-        return Word(tuple(out), at=at)
 
     @cached_property
     def _boundaries(self) -> list:
@@ -130,13 +102,30 @@ class GCellComplex:
     @cached_property
     def _open_face(self):
         """The witness of the first face whose attaching word is not a
-        closed edge path, or None; walked once per complex."""
-        for f in self.faces:
-            first, last, broken = walk_word(self.edge_by_label, f.word)
-            if broken is not None:
-                return {"check": "face word composable", "face": f.label, "letter": broken}
-            if first != last:
-                return {"check": "face word closed", "face": f.label, "ends": (first, last)}
+        closed edge path, or None; walked once per complex over the
+        positions of the cell index, which has already refused letters
+        that name no edge or have an exponent other than +-1.  An empty
+        word stands at its anchor and is closed."""
+        idx = self._index
+        labels, terms = idx.labels, idx.terms
+        _, _, f0, s0, _ = idx.start
+        for i in range(f0, s0):
+            if not terms[i]:
+                continue
+            first = here = None
+            for j, exp in terms[i]:
+                (head, _), (tail, _) = terms[j]  # an edge's terms: (target, 1), (source, -1)
+                if exp == -1:
+                    head, tail = tail, head
+                if here is None:
+                    first = tail
+                elif here != tail:
+                    return {"check": "face word composable", "face": labels[i],
+                            "letter": (labels[j], exp)}
+                here = head
+            if first != here:
+                return {"check": "face word closed", "face": labels[i],
+                        "ends": (labels[first], labels[here])}
         return None
 
     @cached_property
@@ -463,111 +452,6 @@ def fundamental_groupoid(x: GCellComplex) -> PresentedGroupoid:
         x.vertices,
         x.edges,
         tuple(f.word for f in x.faces),
-    )
-
-
-def presentation_complex(p: PresentedGroupoid) -> GCellComplex:
-    """The inverse construction: one vertex per object, one edge per
-    generator, one face per relator."""
-    used = set(p.objects) | {g.label for g in p.generators}
-    faces = []
-    for i, r in enumerate(p.relators):
-        lab = f"rel{i}"
-        while lab in used:
-            lab += "_"
-        used.add(lab)
-        faces.append(Face(lab, r))
-    return _plain_complex(p.objects, p.generators, faces, ())
-
-
-@dataclass
-class CellularMap:
-    """A map of complexes defined on the 0-, 1-, and 2-skeleton.
-
-    vertex_map sends vertices to vertices, edge_map sends each edge to an
-    edge word between the image vertices, and face_map (when present) sends
-    each face to (face label, sign) or None for a face whose image word
-    collapses.  Without face_map the map is checked on the 1-skeleton only.
-    """
-
-    source: GCellComplex
-    target: GCellComplex
-    vertex_map: dict
-    edge_map: dict
-    face_map: dict | None = None
-
-    def validate(self) -> Verdict:
-        tgt_v = set(self.target.vertices)
-        for v in self.source.vertices:
-            if self.vertex_map.get(v) not in tgt_v:
-                return Verdict.refuted(
-                    {"check": "vertex image", "vertex": v}, LEVEL_SYNTACTIC
-                )
-        for e in self.source.edges:
-            w = self.edge_map.get(e.label)
-            if w is None:
-                return Verdict.refuted(
-                    {"check": "edge image missing", "edge": e.label},
-                    LEVEL_SYNTACTIC,
-                )
-            first, last, broken = walk_word(self.target.edge_by_label, w)
-            if broken is not None or first is None:
-                return Verdict.refuted(
-                    {"check": "edge image composable", "edge": e.label},
-                    LEVEL_SYNTACTIC,
-                )
-            want = (self.vertex_map[e.source], self.vertex_map[e.target])
-            if (first, last) != want:
-                return Verdict.refuted(
-                    {"check": "edge image endpoints", "edge": e.label,
-                     "got": (first, last), "want": want},
-                    LEVEL_SYNTACTIC,
-                )
-        if self.face_map is None:
-            if self.source.faces:
-                return Verdict.undecided(
-                    "no face data: map is defined only on the 1-skeleton"
-                )
-            return Verdict.verified(LEVEL_SYNTACTIC)
-        for f in self.source.faces:
-            image_word = self.push_word(f.word)
-            reduced = cyclic_reduce_letters(image_word.letters)
-            entry = self.face_map.get(f.label)
-            if entry is None:
-                if reduced:
-                    return Verdict.refuted(
-                        {"check": "collapsed face has nontrivial image word",
-                         "face": f.label},
-                        LEVEL_SYNTACTIC,
-                    )
-                continue
-            lab, sign = entry
-            tf = self.target.face_by_label.get(lab)
-            if tf is None or sign not in (1, -1):
-                return Verdict.refuted(
-                    {"check": "face image", "face": f.label}, LEVEL_SYNTACTIC
-                )
-            want = tf.word.letters if sign == 1 else invert_letters(tf.word.letters)
-            if not rotation_equal(cyclic_reduce_letters(want), reduced):
-                return Verdict.refuted(
-                    {"check": "face image word", "face": f.label,
-                     "got": reduced, "want": want},
-                    LEVEL_SYNTACTIC,
-                )
-        return Verdict.verified(LEVEL_SYNTACTIC)
-
-    def push_word(self, w: Word) -> Word:
-        at = self.vertex_map[w.at] if w.at is not None else None
-        return Word(expand_letters(w.letters, self.edge_map), at=at)
-
-
-def identity_cellular_map(x: GCellComplex) -> CellularMap:
-    return CellularMap(
-        x,
-        x,
-        {v: v for v in x.vertices},
-        {e.label: Word.gen(e.label) for e in x.edges},
-        {c.label: (c.label, 1) for c in x.faces},
     )
 
 

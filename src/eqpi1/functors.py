@@ -25,9 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain
 
-from .complexes import CellularMap, GCellComplex, InvalidComplex, fixed_cells, fixed_parts
+from .complexes import GCellComplex, fixed_cells, fixed_parts
 from .groups import Subgroup, family_all
 from .groupoids import (
     GroupoidMorphism,
@@ -36,11 +35,9 @@ from .groupoids import (
     check_composable,
     compose_morphisms,
     empty_morphism,
-    equivalence_report,
     expand_letters,
     free_reduce_letters,
     identity_morphism,
-    invert_letters,
     words_equal_verdict,
 )
 from .orbit import OrbitCategory, OrbitMorphism
@@ -67,10 +64,6 @@ def name_first(items) -> str:
     return ", ".join(items[:ITEMS_NAMED]) + (
         f" ... and {more} more" if more > 0 else ""
     )
-
-
-class NotEquivariant(ValueError):
-    pass
 
 
 @dataclass
@@ -366,52 +359,3 @@ class NaturalTransformation:
 
 def _square_context(m: OrbitMorphism) -> dict:
     return {"check": "naturality square", "at": str(m)}
-
-
-def induced_transformation(
-    f: CellularMap, family=None
-) -> NaturalTransformation:
-    """Natural transformation of induced functors coming from an equivariant
-    cellular map between complexes over the same group.  A map that
-    CellularMap.validate refutes raises InvalidComplex; equivariance is
-    then checked cell by cell and NotEquivariant raised on failure."""
-    x, y = f.source, f.target
-    if x.group != y.group:
-        raise NotEquivariant("source and target have different groups")
-    bad = f.validate()
-    if bad.is_refuted:
-        raise InvalidComplex(f"cellular map invalid: {bad.witness}")
-    for g in x.group.elements():
-        for v in x.vertices:
-            if f.vertex_map[x.action[g][v][0]] != y.action[g][f.vertex_map[v]][0]:
-                raise NotEquivariant(f"vertex {v!r} breaks equivariance at element {g}")
-        for e in x.edges:
-            img, sign = x.action[g][e.label]
-            moved = y.translate_word(g, f.edge_map[e.label])
-            expected = f.edge_map[img] if sign == 1 else Word(
-                invert_letters(f.edge_map[img].letters), at=None
-            )
-            if moved.letters != expected.letters:
-                raise NotEquivariant(
-                    f"edge {e.label!r} breaks equivariance at element {g}"
-                )
-    src_f = induced_functor_from_complex(x, family)
-    tgt_f = induced_functor_from_complex(y, family)
-    components = {}
-    for hid in src_f.category.objects:
-        sv = src_f.values[hid]
-        tv = tgt_f.values[hid]
-        object_map = {v: f.vertex_map[v] for v in sv.objects}
-        generator_map = {e.label: f.edge_map[e.label] for e in sv.generators}
-        components[hid] = GroupoidMorphism(sv, tv, object_map, generator_map)
-    return NaturalTransformation(src_f, tgt_f, components)
-
-
-def equivalence_of_functors(eta: NaturalTransformation) -> Verdict:
-    """Is a natural transformation an objectwise equivalence?  Naturality
-    first, then the componentwise equivalence reports."""
-    return first_refuted(chain(
-        [({}, eta.naturality())],
-        (({"component": hid}, equivalence_report(eta.components[hid]))
-         for hid in eta.source.category.objects),
-    ))

@@ -36,7 +36,6 @@ from .verdicts import (
     LEVEL_SYNTACTIC,
     Verdict,
     combine,
-    first_refuted,
 )
 
 
@@ -608,13 +607,6 @@ def _loop_vanishes(p: PresentedGroupoid, w: Word) -> Verdict:
     if certified_abelian(simp):
         return Verdict.verified(LEVEL_ABELIANIZED)
     return Verdict.undecided("word problem: loop not decided at abelianized level")
-
-
-def check_respects_relations(t: GroupoidMorphism) -> Verdict:
-    return first_refuted(
-        ({"relator": i, "word": str(r)}, _loop_vanishes(t.target, t.apply(r)))
-        for i, r in enumerate(t.source.relators)
-    )
 
 
 def words_equal_verdict(p: PresentedGroupoid, w1: Word, w2: Word) -> Verdict:

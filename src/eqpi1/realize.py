@@ -20,9 +20,7 @@ One builder emits every cell of stages 3 to 5 once, labelled
 the same row of cells at every coset representative.  The group permutes
 copies by left translation of cosets and all cells keep orientation, so
 g sends the row at rep to the row at the representative of g*rep, cell
-for cell; merged vertices move as the 0-skeleton says.  The uncollapsed variant keeps one vertex per copy object and
-inserts vertical edges instead of merging; it has the same homology in
-degree 3 and is exposed for cross-checks.
+for cell; merged vertices move as the 0-skeleton says.
 
 The final verification builds the induced fixed-point functor of the
 realized complex and compares it with the input functor through the
@@ -199,10 +197,11 @@ def _copy_word(hid: int, rep: int, w: Word, point=None) -> Word:
     return Word(letters, at=at)
 
 
-def _build(f: OrbFunctor, max_dim: int, coend: CoendResult | None):
-    """Stages 3 to 5 over the 0-skeleton coend, or, when coend is None,
-    over one vertex per copy object joined to its images by vertical edges
-    v<mi>.g<rep>.<object>.  Returns the complex and the nonrigid pairs."""
+def _build(f: OrbFunctor, max_dim: int, coend: CoendResult):
+    """Stages 3 to 5 over the 0-skeleton coend: the copy cells attach to
+    the classes of their objects, and each square runs from a generator's
+    copy downstairs back along its image word upstairs.  Returns the
+    complex and the nonrigid pairs."""
     cat = f.category
     group = cat.group
     blocks = []  # (hid, the labels emitted at each coset rep, in transversal order)
@@ -217,20 +216,7 @@ def _build(f: OrbFunctor, max_dim: int, coend: CoendResult | None):
         row.append(lab)
         return lab
 
-    if coend is None:
-        vertices = [
-            emit(row, f"o{hid}", r, x)
-            for hid in cat.objects
-            for r, row in block(hid)
-            for x in f.values[hid].objects
-        ]
-
-        def vertex(hid, r, x):
-            return _label(f"o{hid}", r, x)
-
-    else:
-        vertices = coend.classes
-        vertex = coend.class_of
+    vertex = coend.class_of
     edges, faces, solids, nonrigid = [], [], [], []
     for hid in cat.objects:
         val = f.values[hid]
@@ -259,29 +245,15 @@ def _build(f: OrbFunctor, max_dim: int, coend: CoendResult | None):
                 nonrigid.append((str(m), k))
             else:
                 matches[k] = match
-        if coend is not None and not down.generators and not matches:
-            continue  # no vertical edge, square or solid at any coset
+        if not down.generators and not matches:
+            continue  # no square or solid at any coset
         for r, row in block(hid):
             ir = cat.apply(m, r)
-            if coend is None:
-                for x in down.objects:
-                    edges.append(
-                        Edge(
-                            emit(row, f"v{mi}", r, x),
-                            vertex(kid, ir, x),
-                            vertex(hid, r, arrow.object_map[x]),
-                        )
-                    )
             for gen in down.generators:
                 img = arrow.generator_map[gen.label]
-                word = invert_letters(_copy_word(hid, r, img).letters)
-                if coend is None:
-                    word = (
-                        ((_label(f"v{mi}", r, gen.target), 1),)
-                        + word
-                        + ((_label(f"v{mi}", r, gen.source), -1),)
-                    )
-                word = ((_label(f"o{kid}", ir, gen.label), 1),) + word
+                word = ((_label(f"o{kid}", ir, gen.label), 1),) + invert_letters(
+                    _copy_word(hid, r, img).letters
+                )
                 faces.append(
                     Face(emit(row, f"q{mi}", r, gen.label), Word(word))
                 )
@@ -296,8 +268,9 @@ def _build(f: OrbFunctor, max_dim: int, coend: CoendResult | None):
                 solids.append(Solid(label, _chain_normal(chain)))
 
     # g sends the cells emitted at coset rep r to those emitted at the
-    # representative of g*r, in the same order, all with sign +1
-    labels = list(vertices) if coend is not None else []
+    # representative of g*r, in the same order, all with sign +1; the
+    # classes move as the coend says
+    labels = list(coend.classes)
     pair = {lab: (lab, 1) for lab in labels}
     images = {
         g: [pair[coend.action[g][lab]] for lab in labels]
@@ -318,23 +291,18 @@ def _build(f: OrbFunctor, max_dim: int, coend: CoendResult | None):
                 out += pairs[at[coset_rep[mul[r]]]]
     action = {g: dict(zip(labels, out)) for g, out in images.items()}
     space = GCellComplex(
-        group, tuple(vertices), tuple(edges), tuple(faces), tuple(solids), action
+        group, coend.classes, tuple(edges), tuple(faces), tuple(solids), action
     )
     return space, tuple(nonrigid)
 
 
 def build_space(f: OrbFunctor, max_dim: int = 3) -> RealizationResult:
+    """Realize f: the 0-skeleton coend, then one pass that emits the
+    copy cells, squares and solids over its classes (stages 3 to 5), and
+    the stage-2 diagnostic.  max_dim 2 leaves out the solids."""
     coend = zero_skeleton_coend(f)
     space, nonrigid = _build(f, max_dim, coend)
     return RealizationResult(f, coend, space, nonrigid, verify_step2(f, coend))
-
-
-def build_homotopy_coend(f: OrbFunctor, max_dim: int = 3) -> GCellComplex:
-    """The uncollapsed variant: one vertex per coset copy of each object,
-    vertical edges from a copy upstairs to its image downstairs, squares
-    bordered by the verticals, and the same solids.  Degree-3 homology
-    agrees with the merged space; lower degrees may not."""
-    return _build(f, max_dim, None)[0]
 
 
 @dataclass

@@ -7,8 +7,10 @@ generating set and scans every element only to name the witness of a
 refutation; the tests require the same status, witness and level.
 """
 
+from naive_open_face import naive_open_face
+
 from eqpi1.complexes import _chain_normal
-from eqpi1.groupoids import invert_letters, rotation_equal, walk_word
+from eqpi1.groupoids import invert_letters, rotation_equal
 from eqpi1.verdicts import LEVEL_SYNTACTIC, Verdict, combine
 
 
@@ -28,18 +30,9 @@ def naive_validate_complex(x) -> Verdict:
     vanishes."""
     verdicts = []
 
-    for f in x.faces:
-        first, last, broken = walk_word(x.edge_by_label, f.word)
-        if broken is not None:
-            return Verdict.refuted(
-                {"check": "face word composable", "face": f.label, "letter": broken},
-                LEVEL_SYNTACTIC,
-            )
-        if first != last:
-            return Verdict.refuted(
-                {"check": "face word closed", "face": f.label, "ends": (first, last)},
-                LEVEL_SYNTACTIC,
-            )
+    open_face = naive_open_face(x)
+    if open_face is not None:
+        return Verdict.refuted(open_face, LEVEL_SYNTACTIC)
     verdicts.append(Verdict.verified(LEVEL_SYNTACTIC))
 
     labels = list(x.all_labels())
@@ -72,11 +65,13 @@ def naive_validate_complex(x) -> Verdict:
                         LEVEL_SYNTACTIC,
                     )
 
+    edge_by_label = {e.label: e for e in x.edges}
+    face_by_label = {f.label: f for f in x.faces}
     solid_by_label = {s.label: s for s in x.solids}
     for g in x.group.elements():
         for e_ in x.edges:
             img, sign = x.action[g][e_.label]
-            ie = x.edge_by_label[img]
+            ie = edge_by_label[img]
             src = x.action[g][e_.source][0]
             tgt = x.action[g][e_.target][0]
             want = (src, tgt) if sign == 1 else (tgt, src)
@@ -88,9 +83,12 @@ def naive_validate_complex(x) -> Verdict:
                 )
         for f in x.faces:
             img, sign = x.action[g][f.label]
-            translated = x.translate_word(g, f.word)
-            want = translated.letters if sign == 1 else invert_letters(translated.letters)
-            got = x.face_by_label[img].word.letters
+            table = x.action[g]
+            translated = tuple(
+                (table[lab][0], exp * table[lab][1]) for lab, exp in f.word.letters
+            )
+            want = translated if sign == 1 else invert_letters(translated)
+            got = face_by_label[img].word.letters
             if not rotation_equal(got, want):
                 return Verdict.refuted(
                     {"check": "action respects attaching words", "element": g,

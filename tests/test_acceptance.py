@@ -9,12 +9,13 @@ import os
 import random
 import time
 
+from presentation_complex import presentation_complex
+
 import eqpi1
 from eqpi1.cli import main
 from eqpi1.complexes import (
     fundamental_groupoid,
     homology_of_complex,
-    presentation_complex,
     validate_complex,
 )
 from eqpi1.documents import parse_document

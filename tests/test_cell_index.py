@@ -8,7 +8,9 @@ elements that fix it with sign +1.  Building it checks the cells and the
 action, with the refusal messages of the former label-keyed checks,
 pinned below and in tests/test_complexes.py.  The boundary matrices read
 the stored terms; they are compared with the former label-keyed
-construction in tests/naive_boundaries.py.
+construction in tests/naive_boundaries.py.  GCellComplex._open_face walks
+the stored face and edge terms; it is compared with the label walk of
+tests/naive_open_face.py.
 
 fixed_parts takes the cells whose stabilizer mask contains the subgroup
 and checks that they close up on the stored terms; fixed_subcomplex
@@ -23,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from naive_boundaries import naive_boundaries
 from naive_fixed import naive_fixed_subcomplex
+from naive_open_face import naive_open_face
 from test_action_generators import cell_labels, corrupt, s3_triangle, twist
 from test_law_generators import s4_swapped_loops
 
@@ -116,6 +119,32 @@ def same_boundaries(x):
 def test_boundaries_match_the_oracle(spaces):
     for x in spaces:
         same_boundaries(x)
+
+
+def with_word(x, i, letters):
+    """x with the word of face i replaced; the action is kept as it is."""
+    faces = list(x.faces)
+    faces[i] = Face(faces[i].label, Word(tuple(letters)))
+    return GCellComplex(x.group, x.vertices, x.edges, tuple(faces), x.solids, x.action)
+
+
+def test_open_faces_match_the_oracle(spaces):
+    """Each space, and each with its first, middle or last face word cut
+    short or with one letter turned round, against the label walk."""
+    outcomes = set()
+    for x in spaces:
+        assert x._open_face is None and naive_open_face(x) is None
+        n = len(x.faces)
+        for i in sorted({0, n // 2, n - 1} if n else ()):
+            letters = x.faces[i].word.letters
+            if len(letters) < 2:
+                continue
+            (lab, exp), *rest = letters
+            for y in (with_word(x, i, letters[:-1]), with_word(x, i, [(lab, -exp), *rest])):
+                witness = y._open_face
+                assert witness == naive_open_face(y)
+                outcomes.add(witness and witness["check"])
+    assert outcomes == {"face word closed", "face word composable", None}
 
 
 def test_index_reads_like_the_action(spaces):

@@ -1,7 +1,8 @@
 import pytest
+from naive_open_face import naive_open_face
+from presentation_complex import presentation_complex
 
 from eqpi1.complexes import (
-    CellularMap,
     Edge,
     Face,
     GCellComplex,
@@ -11,15 +12,13 @@ from eqpi1.complexes import (
     fixed_subcomplex,
     fundamental_groupoid,
     homology_of_complex,
-    identity_cellular_map,
-    presentation_complex,
     trivial_action,
     validate_complex,
 )
 from eqpi1.groupoids import Gen, PresentedGroupoid, Word
 from eqpi1.groups import Subgroup, cyclic_group, trivial_group
 from eqpi1.intlinalg import NotAChainComplex
-from eqpi1.verdicts import LEVEL_SYNTACTIC, VERIFIED
+from eqpi1.verdicts import VERIFIED
 
 TORUS_RELATOR = (("a", 1), ("b", 1), ("a", -1), ("b", -1))
 
@@ -29,17 +28,6 @@ def torus_groupoid():
         ("u",),
         (Gen("a", "u", "u"), Gen("b", "u", "u")),
         (Word(TORUS_RELATOR, at="u"),),
-    )
-
-
-def circle_complex():
-    return GCellComplex(
-        trivial_group(),
-        ("v",),
-        (Edge("a", "v", "v"),),
-        (),
-        (),
-        trivial_action(["v", "a"]),
     )
 
 
@@ -156,8 +144,6 @@ def test_cell_bookkeeping():
     assert x.euler_characteristic() == 0
     assert list(x.all_labels()) == ["u", "a", "b", "rel0"]
     assert x.action[0]["a"] == ("a", 1)
-    w = x.translate_word(0, Word(TORUS_RELATOR, at="u"))
-    assert w.letters == TORUS_RELATOR and w.at == "u"
 
 
 def test_validate_face_words():
@@ -178,6 +164,36 @@ def test_validate_face_words():
     )
     v = validate_complex(open_ended)
     assert v.is_refuted and v.witness["check"] == "face word closed"
+
+
+P_Q = ("p", "q"), (Edge("a", "p", "q"), Edge("b", "p", "q"))
+
+
+@pytest.mark.parametrize(
+    "words, witness",
+    [
+        ([(("a", 1), ("b", 1))],
+         {"check": "face word composable", "face": "c0", "letter": ("b", 1)}),
+        ([(("a", -1), ("a", -1))],
+         {"check": "face word composable", "face": "c0", "letter": ("a", -1)}),
+        ([(("a", 1),)], {"check": "face word closed", "face": "c0", "ends": ("p", "q")}),
+        ([(("b", -1),)], {"check": "face word closed", "face": "c0", "ends": ("q", "p")}),
+        ([(("a", 1), ("b", -1)), (("a", -1), ("b", 1)), ()], None),
+        # the first open face names the witness
+        ([(("a", 1), ("b", -1)), (("b", 1),), (("a", 1), ("a", 1))],
+         {"check": "face word closed", "face": "c1", "ends": ("p", "q")}),
+    ],
+    ids=["composable", "composable-inverse", "closed", "closed-inverse", "none", "first"],
+)
+def test_open_face_reads_the_index(words, witness):
+    faces = tuple(
+        Face(f"c{i}", Word(w, at=None if w else "p")) for i, w in enumerate(words)
+    )
+    x = GCellComplex(
+        trivial_group(), *P_Q, faces, (),
+        trivial_action(["p", "q", "a", "b", *(f.label for f in faces)]),
+    )
+    assert x._open_face == naive_open_face(x) == witness
 
 
 def test_validate_action_checks():
@@ -466,125 +482,3 @@ def test_fixed_cells_that_do_not_close_keep_their_messages(x, message):
     with pytest.raises(InvalidComplex) as e:
         fixed_subcomplex(x, Subgroup((0, 1)))
     assert str(e.value) == "fixed cells are not a subcomplex: " + message
-
-
-def test_cellular_map_validate():
-    x = presentation_complex(torus_groupoid())
-    ident = identity_cellular_map(x)
-    assert ident.validate().status == VERIFIED
-    assert ident.push_word(Word(TORUS_RELATOR, at="u")).letters == TORUS_RELATOR
-
-    skeleton_only = CellularMap(
-        x, x, {"u": "u"},
-        {"a": Word.gen("a"), "b": Word.gen("b")},
-    )
-    assert skeleton_only.validate().is_undecided
-
-    bad_vertex = CellularMap(x, x, {"u": "zz"}, dict(ident.edge_map), dict(ident.face_map))
-    assert bad_vertex.validate().is_refuted
-
-    circle = circle_complex()
-    bad_edge = CellularMap(
-        circle, x, {"v": "u"}, {"a": Word.gen("missing")}, {}
-    )
-    v = bad_edge.validate()
-    assert v.is_refuted and v.witness["check"] == "edge image composable"
-
-    collapse_missing = CellularMap(
-        x, x, {"u": "u"},
-        {"a": Word.gen("a"), "b": Word.gen("b")},
-        {"rel0": None},
-    )
-    v = collapse_missing.validate()
-    assert v.is_refuted
-    assert v.witness["check"] == "collapsed face has nontrivial image word"
-
-    wrong_face_word = CellularMap(
-        x, x, {"u": "u"},
-        {"a": Word.gen("b"), "b": Word.gen("b")},
-        {"rel0": ("rel0", 1)},
-    )
-    v = wrong_face_word.validate()
-    assert v.is_refuted and v.witness["check"] == "face image word"
-
-
-def interval_complex():
-    return GCellComplex(
-        trivial_group(),
-        ("p", "q"),
-        (Edge("e", "p", "q"),),
-        (),
-        (),
-        trivial_action(["p", "q", "e"]),
-    )
-
-
-def _torus_map(face_map):
-    x = presentation_complex(torus_groupoid())
-    ident = identity_cellular_map(x)
-    return CellularMap(x, x, {"u": "u"}, dict(ident.edge_map), face_map)
-
-
-@pytest.mark.parametrize(
-    "make, witness",
-    [
-        (
-            lambda: CellularMap(circle_complex(), interval_complex(), {"v": "p"}, {}, {}),
-            {"check": "edge image missing", "edge": "a"},
-        ),
-        (
-            lambda: CellularMap(
-                circle_complex(), interval_complex(), {"v": "p"},
-                {"a": Word.gen("e")}, {},
-            ),
-            {"check": "edge image endpoints", "edge": "a",
-             "got": ("p", "q"), "want": ("p", "p")},
-        ),
-        (
-            lambda: CellularMap(
-                circle_complex(), interval_complex(), {"v": "p"},
-                {"a": Word((), at="q")}, {},
-            ),
-            {"check": "edge image endpoints", "edge": "a",
-             "got": ("q", "q"), "want": ("p", "p")},
-        ),
-        (
-            lambda: CellularMap(
-                circle_complex(), interval_complex(), {"v": "p"},
-                {"a": Word((("e", 1), ("e", 1)))}, {},
-            ),
-            {"check": "edge image composable", "edge": "a"},
-        ),
-        (
-            lambda: CellularMap(
-                circle_complex(), interval_complex(), {"v": "p"},
-                {"a": Word(())}, {},
-            ),
-            {"check": "edge image composable", "edge": "a"},
-        ),
-        (  # a^2 is not a letter of an edge path, even along a loop
-            lambda: CellularMap(
-                circle_complex(), circle_complex(), {"v": "v"},
-                {"a": Word((("a", 2),))}, {},
-            ),
-            {"check": "edge image composable", "edge": "a"},
-        ),
-        (
-            lambda: _torus_map({"rel0": ("missing", 1)}),
-            {"check": "face image", "face": "rel0"},
-        ),
-        (
-            lambda: _torus_map({"rel0": ("rel0", 2)}),
-            {"check": "face image", "face": "rel0"},
-        ),
-    ],
-    ids=[
-        "edge-missing", "edge-endpoints", "edge-endpoints-empty",
-        "edge-not-composable", "edge-empty-unanchored", "edge-exponent",
-        "face-unknown", "face-sign",
-    ],
-)
-def test_cellular_map_validate_witnesses(make, witness):
-    v = make().validate()
-    assert v.is_refuted and v.level == LEVEL_SYNTACTIC
-    assert v.witness == witness

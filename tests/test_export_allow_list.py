@@ -18,22 +18,10 @@ import eqpi1
 SRC = os.path.join(os.path.dirname(__file__), "..", "src", "eqpi1")
 
 ALLOWED = {
-    "build_homotopy_coend": "the uncollapsed realization; the generated "
-    "complexes check build_space's H_3 against it",
-    "check_respects_relations": "checks that a groupoid morphism sends "
-    "relators to identities, for morphisms built by hand",
     "cyclic_group": "group constructor for library callers; documents "
     "give groups as tables or permutations",
     "symmetric_group": "group constructor for library callers; documents "
     "give groups as tables or permutations",
-    "identity_cellular_map": "the identity G-map, the simplest input of "
-    "induced_transformation",
-    "induced_transformation": "a G-map induces a natural transformation "
-    "of fixed-point functors",
-    "equivalence_of_functors": "decides whether a natural transformation "
-    "is an objectwise equivalence, e.g. one from induced_transformation",
-    "presentation_complex": "the complex of a presented groupoid, inverse "
-    "to fundamental_groupoid",
     "homology": "homology of bare boundary matrices, with the d.d = 0 "
     "check; complexes reach homology through homology_of_complex",
 }

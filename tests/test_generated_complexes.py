@@ -25,13 +25,14 @@ and the Euler characteristic is the alternating sum of the free ranks of
 H_0..H_3.  When every fixed set is a subcomplex, the induced functor
 obeys the functor laws, and its realization validates, induces a functor
 that the comparison never refutes, and has the H_3 of the homotopy
-coend.
+coend (tests/homotopy_coend.py).
 """
 
 from collections import deque
 
 from hypothesis import event, given, reject, settings
 from hypothesis import strategies as st
+from homotopy_coend import build_homotopy_coend
 from test_action_generators import cell_labels, corrupt, same_verdict
 from test_cell_index import same_boundaries, same_fixed
 
@@ -47,7 +48,7 @@ from eqpi1.complexes import (
 from eqpi1.functors import induced_functor_from_complex, validate_functoriality
 from eqpi1.groupoids import Word, invert_letters
 from eqpi1.groups import cyclic_group, subgroup_closure, symmetric_group
-from eqpi1.realize import build_homotopy_coend, build_space, verify_fundamental_functor
+from eqpi1.realize import build_space, verify_fundamental_functor
 from eqpi1.verdicts import VERIFIED
 
 GROUPS = tuple(cyclic_group(n) for n in range(1, 7)) + (symmetric_group(3),)

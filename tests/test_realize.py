@@ -1,4 +1,5 @@
 import pytest
+from homotopy_coend import build_homotopy_coend
 
 from eqpi1.complexes import homology_of_complex, validate_complex
 from eqpi1.documents import parse_document
@@ -21,7 +22,6 @@ from eqpi1.realize import (
     STEP2_DEFICIT,
     STEP2_QUOTIENT,
     StepTwoReport,
-    build_homotopy_coend,
     build_space,
     comparison_transformation,
     verify_fundamental_functor,
