@@ -29,6 +29,7 @@ import json
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .complexes import Edge, Face, GCellComplex, Solid
 from .groups import (
@@ -73,9 +74,10 @@ class SchemaViolation(ValueError):
     pass
 
 
-_TOKEN = re.compile(
-    r"->|\^|\{|\}|\(|\)|@|-?\d+|[A-Za-z_][A-Za-z0-9_.]*"
-)
+# One scan per comment-stripped line finds each token (a symbol, an integer
+# or a word) or a character no token starts with.  No alternative matches
+# whitespace, so the scan steps over it.
+_SCAN = re.compile(r"(->|\^|\{|\}|\(|\)|@)|(-?\d+)|([A-Za-z_][A-Za-z0-9_.]*)|(\S)")
 
 _KINDS = {
     "->": "ARROW",
@@ -88,8 +90,7 @@ _KINDS = {
 }
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     value: str
     line: int
@@ -99,23 +100,14 @@ class Token:
 def tokenize(text: str):
     tokens = []
     for li, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        pos = 0
-        while pos < len(line):
-            if line[pos].isspace():
-                pos += 1
-                continue
-            m = _TOKEN.match(line, pos)
-            if not m:
+        for m in _SCAN.finditer(raw.split("#", 1)[0]):
+            group, lex = m.lastindex, m.group()
+            if group == 4:
                 raise DocumentSyntaxError(
-                    f"unexpected character {line[pos]!r}", li, pos + 1
+                    f"unexpected character {lex!r}", li, m.start() + 1
                 )
-            lex = m.group(0)
-            kind = _KINDS.get(lex)
-            if kind is None:
-                kind = "INT" if lex.lstrip("-").isdigit() else "WORD"
+            kind = _KINDS[lex] if group == 1 else "INT" if group == 2 else "WORD"
             tokens.append(Token(kind, lex, li, m.start() + 1))
-            pos = m.end()
     return tokens
 
 

@@ -106,16 +106,35 @@ def cyclic_reduce_letters(letters) -> tuple:
 
 
 def canonical_cyclic(letters) -> tuple:
-    """Canonical form of a cyclic word up to rotation and inversion; used to
-    compare relators."""
-    w = cyclic_reduce_letters(letters)
-    if not w:
+    """Canonical form of a cyclic word up to rotation and inversion: the
+    least rotation of the cyclically reduced word or of its inverse.  Used
+    to compare relators."""
+    return _least_rotation(cyclic_reduce_letters(letters))
+
+
+def _least_rotation(w: tuple) -> tuple:
+    """canonical_cyclic of a cyclically reduced word.  A letter (lab, e)
+    gets ((lab, -|e|),), and two letters the least of their four rotations
+    and inversions; a longer word only tries the rotations that start at
+    its least letter, as the least rotation must."""
+    n = len(w)
+    if n == 2:
+        x, y = w
+        ix, iy = (x[0], -x[1]), (y[0], -y[1])
+        return min(w, (y, x), (iy, ix), (ix, iy))
+    if n == 1:
+        ((lab, e),) = w
+        return ((lab, -abs(e)),)
+    if not n:
         return ()
-    candidates = []
-    for base in (w, invert_letters(w)):
-        for i in range(len(base)):
-            candidates.append(base[i:] + base[:i])
-    return min(candidates)
+    inv = invert_letters(w)
+    first = min(min(w), min(inv))
+    return min(
+        base[i:] + base[:i]
+        for base in (w, inv)
+        for i, x in enumerate(base)
+        if x == first
+    )
 
 
 def rotation_equal(a, b) -> bool:
@@ -165,8 +184,13 @@ class GroupPresentation:
             len(self.generators),
         )
 
-    def abelianization(self) -> AbelianGroup:
+    @cached_property
+    def _abelianization(self) -> AbelianGroup:
         return quotient_invariants(self.relator_matrix())
+
+    def abelianization(self) -> AbelianGroup:
+        """Computed once per presentation."""
+        return self._abelianization
 
 
 def exponent_vector(letters, generators) -> list:
@@ -240,7 +264,7 @@ def simplify_presentation(pres: GroupPresentation):
         rels[i] = None
         if not letters:
             return
-        key = canonical_cyclic(letters)
+        key = _least_rotation(letters)
         other = holder.get(key)
         if other is not None:
             if other < i:
@@ -250,8 +274,10 @@ def simplify_presentation(pres: GroupPresentation):
         rels[i], keys[i], holder[key] = letters, key, i
         for lab, _ in letters:
             occurs[lab].add(i)
-        if _occurring_once(letters):
-            heapq.heappush(ready, (len(letters), letters, i))
+        n = len(letters)  # one letter, or two distinct ones, occur once
+        if (n == 1 or n == 2 and letters[0][0] != letters[1][0]
+                or n > 2 and _occurring_once(letters)):
+            heapq.heappush(ready, (n, letters, i))
 
     for i, r in enumerate(pres.relators):
         rels.append(None)
@@ -449,24 +475,35 @@ class PresentedGroupoid:
             raise ObjectNotFound(f"no object {x!r}")
         return comps[seen[x]]
 
+    @cached_property
+    def _isotropy(self) -> dict:
+        """component base -> its isotropy presentation, filled as they are
+        read.  It holds no IsotropyData, which would refer back to the
+        groupoid and keep it alive until a cycle collection."""
+        return {}
+
     def isotropy_data(self, x: str) -> "IsotropyData":
+        """The isotropy presentation of x's component, built once per
+        component."""
         comp = self.component_of(x)
         _, seen, paths, trees = self._components
         i = seen[x]
         tree = trees[i]
-        hat_gens = tuple(
-            g.label
-            for g in self.generators
-            if g.label not in tree and seen[g.source] == i
-        )
-        # a validated relator is closed: it starts at its anchor when empty,
-        # else in the component of its first letter
-        relators = tuple(
-            self._rewrite_letters(r.letters, tree)
-            for r in self.relators
-            if seen[self._gen[r.letters[0][0]].source if r.letters else r.at] == i
-        )
-        pres = GroupPresentation(hat_gens, relators)
+        pres = self._isotropy.get(comp[0])
+        if pres is None:
+            hat_gens = tuple(
+                g.label
+                for g in self.generators
+                if g.label not in tree and seen[g.source] == i
+            )
+            # a validated relator is closed: it starts at its anchor when
+            # empty, else in the component of its first letter
+            relators = tuple(
+                self._rewrite_letters(r.letters, tree)
+                for r in self.relators
+                if seen[self._gen[r.letters[0][0]].source if r.letters else r.at] == i
+            )
+            pres = self._isotropy[comp[0]] = GroupPresentation(hat_gens, relators)
         return IsotropyData(self, comp[0], comp, paths, tree, pres)
 
     @staticmethod

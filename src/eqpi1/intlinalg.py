@@ -4,7 +4,8 @@ Everything here runs on arbitrary-precision Python ints: Smith normal form
 with unimodular transformation certificates, finitely generated abelian
 group invariants, sparse boundary matrices, and the groups of chain-complex
 homology by unit-pivot reduction followed by one certified Smith form per
-connected block of each residual boundary.  Abelianization shares that
+connected block of each residual boundary larger than 1x1 (a single entry
+is its own Smith form).  Abelianization shares that
 reduction: Z^n modulo a relator lattice is H_0 of the one-boundary complex
 of its relator matrix.  No floating point anywhere.
 """
@@ -411,9 +412,10 @@ def homology(boundaries: list) -> list:
     removed by sparse elimination, which preserves integral homology.  Each
     residual boundary is then split into the connected components of its
     row-column graph (Dumas, Saunders and Villard, JSC 2001), and each
-    component gets its own certified Smith form; the ranks add up, and the
-    non-unit factors are merged into one divisibility chain.  The residual
-    is never densified whole.
+    component larger than 1x1 gets its own certified Smith form; a single
+    entry a is its own, with U = (sign a) and V = (1).  The ranks add up,
+    and the non-unit factors are merged into one divisibility chain.  The
+    residual is never densified whole.
     """
     mats = [m if isinstance(m, SparseMatrix) else SparseMatrix.from_dense(m)
             for m in boundaries]
@@ -433,8 +435,9 @@ def unchecked_homology(mats: list) -> list:
 
 
 class _ChainReduction:
-    """A chain complex reduced by unit pivots, and the certified Smith
-    forms of the connected blocks of each residual boundary.
+    """A chain complex reduced by unit pivots, and the invariant factors
+    of the connected blocks of each residual boundary: |a| for a 1x1 block
+    (a), else the diagonal of the block's certified Smith form.
 
     Removing a pair (a, b), b in C_k, a in C_{k-1}, <d b, a> = u = +-1, is
     one step of Gaussian elimination: every other k-cell c becomes
@@ -459,8 +462,10 @@ class _ChainReduction:
         self.residual = [mats[0].rows] + [m.cols for m in mats] if n else [0]
         for i in reversed(range(n)):
             self._reduce(i)
-        self.blocks = [
-            [smith_normal_form(a) for a in _components(cols)] for cols in self.cols
+        # boundary i -> the nonzero invariant factors of its blocks
+        self.factors = [
+            [d for a in _components(cols) for d in _diagonal(a) if d]
+            for cols in self.cols
         ]
 
     def _reduce(self, i: int):
@@ -507,12 +512,12 @@ class _ChainReduction:
                 self.row_users[i - 1][r].discard(a)
 
     def group(self, k: int) -> AbelianGroup:
-        rank = self.residual[k] - sum(  # blocks of d_k and d_{k+1}
-            s.rank for blocks in self.blocks[max(k - 1, 0):k + 1] for s in blocks
+        rank = self.residual[k] - sum(  # the ranks of d_k and d_{k+1}
+            len(ds) for ds in self.factors[max(k - 1, 0):k + 1]
         )
         if k == self.n:
             return AbelianGroup(rank)
-        ds = sorted(d for s in self.blocks[k] for d in s.diagonal if d > 1)
+        ds = sorted(d for d in self.factors[k] if d > 1)
         if any(y % x for x, y in zip(ds, ds[1:])):
             # not a divisibility chain: merge them through the Smith form
             # of their diagonal matrix (Z/2 + Z/3 is Z/6)
@@ -521,6 +526,14 @@ class _ChainReduction:
                 diag.data[t][t] = d
             ds = [d for d in smith_normal_form(diag).diagonal if d > 1]
         return AbelianGroup(rank, tuple(ds))
+
+
+def _diagonal(a: IntMatrix) -> list:
+    """The Smith diagonal of a block.  A single entry a is its own Smith
+    form: U = (sign a) and V = (1) give U (a) V = (|a|)."""
+    if a.rows == a.cols == 1:
+        return [abs(a.data[0][0])]
+    return smith_normal_form(a).diagonal
 
 
 def _components(columns: dict) -> list:

@@ -1,5 +1,8 @@
 """Hypothesis properties of the document reader.
 
+The tokenizer is checked against the former one in tests/naive_tokenize.py
+on random texts.
+
 Parser robustness and round trips run on token-level mutants of the
 shipped documents: tokens deleted, inserted from the documents' own
 vocabulary, or the token list cut short.  The action closure is checked
@@ -14,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from document_render import documents_equal, render_document
 from naive_action import naive_complete_action
+from naive_tokenize import naive_tokenize
 
 import eqpi1
 from eqpi1.documents import (
@@ -83,6 +87,30 @@ def test_parsed_mutants_round_trip(text):
     doc = parse_or_refusal(text)
     if doc is not None:
         assert documents_equal(parse_document(render_document(doc)), doc)
+
+
+# tokens, whitespace of several kinds (Unicode too), comments, a '-' not
+# followed by a digit, and characters no token starts with
+LINE_PIECES = (
+    "a", "b1", "x_.y", "_", "0", "12", "-3", "-", "->", "-x", "^", "{", "}",
+    "(", ")", "@", " ", "  ", "\t", "\n", "\r\n", "\x0b", "\x0c", "\x1c",
+    "\x85", "\xa0", "\u2003", "\u2028", "\u3000", "#", "# c } $ \n", "$",
+    "\xe9", "\u0663", "!", ",", "ab-2",
+)
+
+
+def _tokens_or_refusal(tokenize, text):
+    try:
+        return tokenize(text)
+    except DocumentSyntaxError as e:
+        return str(e), e.line, e.col
+
+
+@given(st.lists(st.sampled_from(LINE_PIECES), max_size=40).map("".join) | st.text())
+@settings(max_examples=300, deadline=None)
+@example("gen a u v\n\trel a^-2 # c\n  x -> y\u3000@ z - 1")
+def test_tokenize_matches_naive_tokenizer(text):
+    assert _tokens_or_refusal(tokenize, text) == _tokens_or_refusal(naive_tokenize, text)
 
 
 Z4 = cyclic_group(4)

@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 from naive_cyclic_reduce import naive_cyclic_reduce_letters
 from naive_forest import naive_component_of, naive_components, naive_isotropy_data
 from naive_relator_match import naive_match_relator
-from naive_tietze import naive_simplify_presentation
+from naive_tietze import naive_canonical_cyclic, naive_simplify_presentation
 
-from eqpi1 import groupoids
+from eqpi1 import groupoids, intlinalg
 from eqpi1.documents import parse_document
 from eqpi1.functors import induced_functor_from_complex
 from eqpi1.groups import family_all
@@ -42,7 +42,7 @@ from eqpi1.groupoids import (
     words_equal_verdict,
 )
 from eqpi1.groupoids import _loop_vanishes
-from eqpi1.verdicts import VERIFIED
+from eqpi1.verdicts import REFUTED, VERIFIED
 
 letters_strategy = st.lists(
     st.tuples(st.sampled_from("abc"), st.sampled_from((1, -1))),
@@ -138,6 +138,22 @@ def test_canonical_cyclic_invariance(letters, rot, invert):
     if invert:
         moved = invert_letters(moved)
     assert canonical_cyclic(moved) == canonical_cyclic(letters)
+
+
+@given(
+    st.lists(
+        st.tuples(st.sampled_from("abc"), st.sampled_from((1, -1, 2, -2))),
+        max_size=8,
+    ).map(tuple)
+)
+@settings(max_examples=500)
+@example((("a", 2),))
+@example((("b", 1), ("a", -2)))
+@example((("a", 1), ("b", 1), ("a", -1), ("b", -1)))
+def test_canonical_cyclic_matches_all_rotations(letters):
+    # one letter, two letters and the least-letter rotations against the
+    # least of all 2n rotations
+    assert canonical_cyclic(letters) == naive_canonical_cyclic(letters)
 
 
 def test_rotation_equal():
@@ -522,6 +538,35 @@ def test_loop_vanishes_ladder():
     free = loop_groupoid()
     v = _loop_vanishes(free, Word(TORUS_RELATOR))
     assert v.is_undecided
+
+
+def test_loop_checks_reduce_the_isotropy_lattice_once(monkeypatch):
+    # k loops decided at the lattice level on one groupoid: one reduction
+    # of the isotropy relator lattice, shared, and one per loop killed
+    relators = ((("a", 1), ("a", 1)), TORUS_RELATOR)
+    loops = [
+        Word.gen("b"),
+        Word.gen("a"),
+        Word((("a", 1), ("b", 1), ("b", 1))),
+        Word((("a", 1),) * 4),
+        Word(TORUS_RELATOR + TORUS_RELATOR),
+    ]
+    want = [_loop_vanishes(loop_groupoid(*relators), w) for w in loops]
+    assert {v.status for v in want} == {VERIFIED, REFUTED}
+    built = []
+
+    class Counting(intlinalg._ChainReduction):
+        def __init__(self, mats):
+            built.append(mats)
+            super().__init__(mats)
+
+    monkeypatch.setattr(intlinalg, "_ChainReduction", Counting)
+    g = loop_groupoid(*relators)
+    got = [_loop_vanishes(g, w) for w in loops]
+    assert len(built) == len(loops) + 1
+    assert [(v.status, v.level, v.witness) for v in got] == [
+        (v.status, v.level, v.witness) for v in want
+    ]
 
 
 def test_words_equal_verdict():

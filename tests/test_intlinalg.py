@@ -516,10 +516,8 @@ def test_zero_and_empty_boundaries():
         assert all(not h.group.torsion for h in hs)
 
 
-def test_residual_is_never_densified_whole(monkeypatch):
-    # 105 disjoint -3 entries spread over 215 rows: 105 blocks of 1x1
-    rows = [2 * j + 1 for j in range(105)]
-    d1 = SparseMatrix(215, 105, [((r, -3),) for r in rows])
+def record_smith_shapes(monkeypatch) -> list:
+    """The shapes of the matrices smith_normal_form is called on, from now."""
     shapes = []
     original = intlinalg.smith_normal_form
 
@@ -528,9 +526,29 @@ def test_residual_is_never_densified_whole(monkeypatch):
         return original(a)
 
     monkeypatch.setattr(intlinalg, "smith_normal_form", recording)
+    return shapes
+
+
+def test_residual_is_never_densified_whole(monkeypatch):
+    # 105 disjoint -3 entries spread over 215 rows: 105 blocks of 1x1,
+    # each its own Smith form
+    rows = [2 * j + 1 for j in range(105)]
+    d1 = SparseMatrix(215, 105, [((r, -3),) for r in rows])
+    shapes = record_smith_shapes(monkeypatch)
     hs = homology([d1])
     assert [str(h) for h in hs] == ["Z^110" + " + Z/3" * 105, "0"]
-    assert shapes == [(1, 1)] * 105
+    assert shapes == []
+
+
+def test_blocks_larger_than_one_entry_take_a_certified_smith_form(monkeypatch):
+    # rows 0, 1 and columns 0, 1 form a connected 2x2 block with no unit
+    # entry; row 2 and column 2 a 1x1 block.  Z/2 + Z/4 + Z/3 is no
+    # divisibility chain, so the factors merge through a 3x3 Smith form
+    d1 = IntMatrix(3, 3, [[2, 0, 0], [2, 4, 0], [0, 0, 3]])
+    shapes = record_smith_shapes(monkeypatch)
+    hs = check_homology([d1])
+    assert [str(h) for h in hs] == ["Z/2 + Z/12", "0"]
+    assert shapes == [(2, 2), (3, 3)]
 
 
 @pytest.fixture(scope="module")
@@ -543,21 +561,14 @@ def torsion_cone(bench_inputs):
 
 
 def test_generators_densify_no_more_than_a_block(monkeypatch, torsion_cone):
-    # the torsion cone n=5: unit pivots leave every residual block 1x1, so
-    # homology takes no Smith form of anything larger
-    shapes = []
-    original = intlinalg.smith_normal_form
-
-    def recording(a):
-        shapes.append((a.rows, a.cols))
-        return original(a)
-
-    monkeypatch.setattr(intlinalg, "smith_normal_form", recording)
+    # the torsion cone n=5: unit pivots leave every residual block 1x1,
+    # each its own Smith form, so homology takes no Smith form at all
+    shapes = record_smith_shapes(monkeypatch)
     hs = homology_of_complex(torsion_cone)
     assert [(h.group.rank, h.group.torsion) for h in hs] == [
         (1, ()), (0, (3,) * 5), (105, (3,) * 105), (0, ()),
     ]
-    assert shapes and set(shapes) == {(1, 1)}
+    assert shapes == []
 
 
 def test_benchmark_reads_groups_off_homology(torsion_cone):
