@@ -113,18 +113,15 @@ def canonical_cyclic(letters) -> tuple:
 
 
 def _least_rotation(w: tuple) -> tuple:
-    """canonical_cyclic of a cyclically reduced word.  A letter (lab, e)
-    gets ((lab, -|e|),), and two letters the least of their four rotations
-    and inversions; a longer word only tries the rotations that start at
-    its least letter, as the least rotation must."""
+    """canonical_cyclic of a cyclically reduced word.  Two letters get the
+    least of their four rotations and inversions; any other word only tries
+    the rotations that start at its least letter, as the least rotation
+    must."""
     n = len(w)
     if n == 2:
         x, y = w
         ix, iy = (x[0], -x[1]), (y[0], -y[1])
         return min(w, (y, x), (iy, ix), (ix, iy))
-    if n == 1:
-        ((lab, e),) = w
-        return ((lab, -abs(e)),)
     if not n:
         return ()
     inv = invert_letters(w)
@@ -274,10 +271,8 @@ def simplify_presentation(pres: GroupPresentation):
         rels[i], keys[i], holder[key] = letters, key, i
         for lab, _ in letters:
             occurs[lab].add(i)
-        n = len(letters)  # one letter, or two distinct ones, occur once
-        if (n == 1 or n == 2 and letters[0][0] != letters[1][0]
-                or n > 2 and _occurring_once(letters)):
-            heapq.heappush(ready, (n, letters, i))
+        if _occurring_once(letters):
+            heapq.heappush(ready, (len(letters), letters, i))
 
     for i, r in enumerate(pres.relators):
         rels.append(None)
