@@ -18,7 +18,7 @@ groupoids) works with these conventions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, compress
 from operator import eq, mul
@@ -47,25 +47,58 @@ class Solid(NamedTuple):
     chain: tuple  # ((coef, face_label), ...)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GCellComplex:
-    """A cell complex with a group action.  Construction builds the integer
-    cell index (_index), once per complex, and building it is what checks
-    the cells and the action: every cell at a position, in the order
-    vertices, edges, faces, solids; per cell its boundary terms over those
+    """A cell complex with a group action.  Every complex holds its integer
+    cell index (_index), made once, with the complex, by the one check of
+    _checked_index: every cell at a position, in the order vertices,
+    edges, faces, solids; per cell its boundary terms over those
     positions; per element the image position and sign of each position;
-    per cell the bitmask of the elements that fix it with sign +1.  The
-    action dict must not be changed afterwards."""
+    per cell the bitmask of the elements that fix it with sign +1.
+
+    The one construction path is over positions (from_positions), which
+    the realization builder takes.  GCellComplex(group, vertices, edges,
+    faces, solids, action), with action element -> {label: (label, sign)},
+    is its front end for documents and tests: it translates the labels
+    into positions for the same check and keeps the dict as the action.
+    Otherwise action is a view of the index, built when first read.
+    Neither may be changed afterwards."""
 
     group: FiniteGroup
     vertices: tuple
     edges: tuple
     faces: tuple
     solids: tuple
-    action: dict = field(compare=False)  # element -> {label: (label, sign)}
 
-    def __post_init__(self):
-        self._index  # builds the cell index, which checks the cells and the action
+    def __init__(self, group, vertices, edges, faces, solids, action: dict):
+        # frozen: the fields go straight into the instance dict
+        self.__dict__.update(group=group, vertices=vertices, edges=edges, faces=faces,
+                             solids=solids, action=action)
+        self.__dict__["_index"] = _dict_index(self, action)
+
+    @classmethod
+    def from_positions(cls, group, vertices, edges, faces, solids, terms, anchor,
+                       perm, sign, listed) -> "GCellComplex":
+        """The complex of the given cells, whose boundaries are terms and
+        anchor, and on which element g acts by perm[g] and sign[g], all
+        over positions as in CellIndex; listed holds the positions in the
+        order the action view lists them."""
+        x = cls.__new__(cls)
+        x.__dict__.update(group=group, vertices=vertices, edges=edges, faces=faces,
+                          solids=solids, _listed=listed)
+        x.__dict__["_index"] = _checked_index(
+            group, list(x.all_labels()), x.cell_counts(), terms, anchor, zip(perm, sign)
+        )
+        return x
+
+    @cached_property
+    def action(self) -> dict:
+        """element -> {label: (label, sign)}, read off the index."""
+        labels, perm, sign = self._index.labels, self._index.perm, self._index.sign
+        return {
+            g: {labels[i]: (labels[p[i]], s[i]) for i in self._listed}
+            for g, p, s in zip(self.group.elements(), perm, sign)
+        }
 
     def all_labels(self):
         for v in self.vertices:
@@ -76,11 +109,6 @@ class GCellComplex:
             yield f.label
         for s in self.solids:
             yield s.label
-
-    @cached_property
-    def _index(self) -> "CellIndex":
-        """The integer cell index, built and checked once per complex."""
-        return _cell_index(self)
 
     def cell_counts(self) -> tuple:
         return (len(self.vertices), len(self.edges), len(self.faces), len(self.solids))
@@ -142,7 +170,9 @@ class GCellComplex:
 
 class CellIndex(NamedTuple):
     """The cells of a complex at dense integer positions, in all_labels()
-    order, their boundaries over those positions, and the action on them."""
+    order, their boundaries over those positions, and the action on them.
+    It is what _checked_index returns, and what every check, boundary
+    matrix, fixed set and induced functor reads."""
 
     labels: list  # position -> label
     start: tuple  # the first position of each dimension 0..3, then the cell count
@@ -157,83 +187,73 @@ class CellIndex(NamedTuple):
     flipped: tuple | None  # the first (element, position) fixed with sign -1
 
 
-def _cell_index(x: GCellComplex) -> CellIndex:
-    """Check the cells and index them, then the action.  The cells are
-    refused at the first duplicate label, then at the first edge with an
-    endpoint that is not a vertex, then face by face and letter by letter
-    (an empty word anchored off the vertices, a letter that names no edge
-    or has an exponent other than +-1), then at the first solid whose
-    chain names no face.  Every element must send every cell to a cell of
-    the same dimension with sign +-1 (+1 on vertices); an element's
-    entries are checked in action-table order, so the first offending
-    entry names the refusal."""
-    labels = list(x.all_labels())
-    n = len(labels)
-    pos = {}
-    for i, lab in enumerate(labels):
-        if pos.setdefault(lab, i) != i:
-            raise InvalidComplex(f"duplicate cell label {lab!r}")
-    counts = x.cell_counts()
+def _checked_index(group, labels, counts, terms, anchor, rows, order=None) -> CellIndex:
+    """The one check of every complex's cells and action, over positions;
+    returns the index.  labels names the positions; labels past the
+    last cell name what a term or image refers to that is no cell, and
+    are refused where they are used.  rows yields the (perm, sign) rows
+    of the elements in order; it is read one element at a time, after
+    the cells are checked.
+
+    The cells are refused at the first duplicate label, then at the first
+    edge whose terms are not (target, 1), (source, -1) over vertices, then
+    face by face (an empty word anchored off the vertices, then letter by
+    letter: a position off the edges, an exponent other than +-1), then at
+    the first solid term off the faces.  Every element must send every
+    cell to a cell of the same dimension with sign +-1 (+1 on vertices).
+    A refused element's entries are named in the order order(g) gives,
+    position order by default, so the first offending entry names the
+    refusal."""
+    n = sum(counts)
+    if len(set(labels[:n])) != n:
+        seen = set()
+        for lab in labels:
+            if lab in seen:
+                raise InvalidComplex(f"duplicate cell label {lab!r}")
+            seen.add(lab)
     start = (0, *accumulate(counts))
     _, e0, f0, s0, _ = start
-    terms, anchor, letter = [()] * e0, {}, {}  # letter: (label, +-1) -> (position, +-1)
-    for i, e in enumerate(x.edges, e0):
-        a, b = pos.get(e.source, n), pos.get(e.target, n)
-        if a >= e0 or b >= e0:
-            raise InvalidComplex(f"edge {e.label!r} has a missing endpoint")
-        terms.append(((b, 1), (a, -1)))
-        letter[e.label, 1], letter[e.label, -1] = (i, 1), (i, -1)
-    for i, f in enumerate(x.faces, f0):
-        if not f.word.letters:
-            anchor[i] = pos.get(f.word.at, n)
-            if anchor[i] >= e0:
-                raise InvalidComplex(
-                    f"face {f.label!r} has an empty word without a vertex anchor"
-                )
-        word = tuple(map(letter.get, f.word.letters))
-        if None in word:  # some letter is refused: name the first
-            for lab, exp in f.word.letters:
-                if not e0 <= pos.get(lab, n) < f0:
-                    raise InvalidComplex(f"face {f.label!r} uses unknown edge {lab!r}")
-                if exp not in (1, -1):
-                    raise InvalidComplex(f"face {f.label!r} has a letter with exponent {exp}")
-        terms.append(word)
-    for s in x.solids:
-        chain = []
-        for coef, lab in s.chain:
-            j = pos.get(lab, n)
+    for i in range(e0, f0):
+        (b, one), (a, minus) = terms[i]
+        if not (0 <= a < e0 and 0 <= b < e0 and one == 1 and minus == -1):
+            raise InvalidComplex(f"edge {labels[i]!r} has a missing endpoint")
+    for i in range(f0, s0):
+        if not terms[i] and not 0 <= anchor.get(i, -1) < e0:
+            raise InvalidComplex(f"face {labels[i]!r} has an empty word without a vertex anchor")
+        for j, exp in terms[i]:
+            if not e0 <= j < f0:
+                raise InvalidComplex(f"face {labels[i]!r} uses unknown edge {labels[j]!r}")
+            if exp != 1 and exp != -1:
+                raise InvalidComplex(f"face {labels[i]!r} has a letter with exponent {exp}")
+    for i in range(s0, n):
+        for j, _ in terms[i]:
             if not f0 <= j < s0:
-                raise InvalidComplex(f"solid {s.label!r} uses unknown face {lab!r}")
-            chain.append((j, coef))
-        terms.append(tuple(chain))
-    dims = []  # position -> dimension
-    for d, c in enumerate(counts):
-        dims += [d] * c
+                raise InvalidComplex(f"solid {labels[i]!r} uses unknown face {labels[j]!r}")
+    # the positions of each dimension that has cells
+    spans = [(lo, hi) for lo, hi in zip(start, start[1:]) if lo < hi]
     perm, sign, stab, flipped = [], [], [0] * n, None
-    for g in x.group.elements():
-        table = x.action.get(g)
-        if table is None:
+    for g in group.elements():
+        row, signs = next(rows, (None, None))
+        if row is None:
             raise InvalidComplex(f"action of element {g} is missing")
-        entries = list(map(table.get, labels)) if len(table) == n else [None]
-        if None in entries:
+        if len(row) != n or len(signs) != n:
             raise InvalidComplex(f"action of element {g} is not defined on every cell")
-        images = [img for img, _ in entries]
-        signs = [s for _, s in entries]
-        row = list(map(pos.get, images))
-        if (
-            None in row
-            or list(map(dims.__getitem__, row)) != dims
-            or signs.count(1) + signs.count(-1) != n
-            or signs[: start[1]].count(1) != start[1]
-        ):  # some entry is refused: name the first
-            for lab, (img, s) in table.items():
-                d = dims[pos[lab]]
-                if img not in pos or dims[pos[img]] != d:
+        kept = signs.count(1) + signs.count(-1) == n and signs[:e0].count(1) == e0
+        for lo, hi in spans:
+            if not kept:
+                break
+            kept = lo <= min(row[lo:hi]) and max(row[lo:hi]) < hi
+        if not kept:  # some entry is refused: name the first
+            dims = [d for d, (lo, hi) in enumerate(spans) for _ in range(lo, hi)]
+            for i in order(g) if order else range(n):
+                j, s = row[i], signs[i]
+                if not 0 <= j < n or dims[j] != dims[i]:
+                    img = labels[j] if 0 <= j < len(labels) else j
                     raise InvalidComplex(
-                        f"action of {g} sends {lab!r} to {img!r} of a different dimension"
+                        f"action of {g} sends {labels[i]!r} to {img!r} of a different dimension"
                     )
-                if s not in (1, -1) or (d == 0 and s != 1):
-                    raise InvalidComplex(f"action of {g} on {lab!r} has sign {s}")
+                if s not in (1, -1) or (i < e0 and s != 1):
+                    raise InvalidComplex(f"action of {g} on {labels[i]!r} has sign {s}")
         perm.append(row)
         sign.append(signs)
         bit = 1 << g
@@ -242,7 +262,56 @@ def _cell_index(x: GCellComplex) -> CellIndex:
                 stab[i] |= bit
             elif flipped is None:
                 flipped = (g, i)
-    return CellIndex(labels, start, terms, anchor, perm, sign, stab, flipped)
+    return CellIndex(labels[:n], start, terms, anchor, perm, sign, stab, flipped)
+
+
+def _dict_index(x: GCellComplex, action: dict) -> CellIndex:
+    """The dict front end: the labels of x and of action translated into
+    positions, then _checked_index.  A label that names no cell gets a
+    position past the cells.  An element's table is translated when the
+    check reaches it: it is refused as missing, or as not defined on
+    every cell unless it lists exactly the cells, and its entries are
+    named in table order."""
+    labels = list(x.all_labels())
+    n = len(labels)
+    pos = {lab: i for i, lab in enumerate(labels)}
+
+    def at(lab):
+        if lab not in pos:
+            pos[lab] = len(labels)
+            labels.append(lab)
+        return pos[lab]
+
+    terms, anchor, letter = [()] * len(x.vertices), {}, {}  # letter: (edge, +-1) -> (i, +-1)
+    for i, e in enumerate(x.edges, len(terms)):
+        terms.append(((at(e.target), 1), (at(e.source), -1)))
+        letter[e.label, 1], letter[e.label, -1] = (i, 1), (i, -1)
+    for i, f in enumerate(x.faces, len(terms)):
+        if not f.word.letters:
+            anchor[i] = pos.get(f.word.at, n)
+        word = tuple(map(letter.get, f.word.letters))
+        if None in word:  # a letter that is not an edge with exponent +-1
+            word = tuple((at(lab), exp) for lab, exp in f.word.letters)
+        terms.append(word)
+    terms += [tuple((at(lab), coef) for coef, lab in s.chain) for s in x.solids]
+    cells = labels[:n]
+
+    def rows():
+        for g in x.group.elements():
+            table = action.get(g)
+            if table is None:
+                return
+            entries = list(map(table.get, cells)) if len(table) == n else [None]
+            if None in entries:
+                raise InvalidComplex(f"action of element {g} is not defined on every cell")
+            images = [img for img, _ in entries]
+            row = list(map(pos.get, images))
+            yield list(map(at, images)) if None in row else row, [s for _, s in entries]
+
+    return _checked_index(
+        x.group, labels, x.cell_counts(), terms, anchor, rows(),
+        order=lambda g: map(pos.__getitem__, action[g]),
+    )
 
 
 def _chain_normal(chain) -> tuple:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import compress
 
 from .complexes import GCellComplex, fixed_cells, fixed_parts
 from .groups import Subgroup, family_all
@@ -288,20 +289,25 @@ def _induced_functor(x: GCellComplex, cat: OrbitCategory) -> OrbFunctor:
     cells its subgroup's keep-mask selects; subgroups with the same
     keep-mask share one value, and morphisms with the same endpoint values
     and the same object and generator images share one arrow."""
-    values, by_keep = {}, {}
+    idx = x._index
+    _, e0, f0, _, _ = idx.start
+    values, at, by_keep = {}, {}, {}  # at: the vertex and edge positions of a value
     for hid in cat.objects:
         keep = fixed_cells(x, cat.subgroups[hid])
         if keep not in by_keep:
             vs, es, fs, _ = fixed_parts(x, keep)
-            by_keep[keep] = PresentedGroupoid(vs, es, tuple(f.word for f in fs))
-        values[hid] = by_keep[keep]
+            by_keep[keep] = PresentedGroupoid(vs, es, tuple(f.word for f in fs)), (
+                list(compress(range(e0), keep)), list(compress(range(e0, f0), keep[e0:f0]))
+            )
+        values[hid], at[hid] = by_keep[keep]
     arrows, shared = {}, {}
+    labels = idx.labels
     for m in cat.morphisms():
-        action = x.action[m.representative]
-        src_value = values[m.target]
+        perm, sign = idx.perm[m.representative], idx.sign[m.representative]
+        src_value, (objects, gens) = values[m.target], at[m.target]
         dst_value = values[m.source]
-        object_images = tuple([action[v][0] for v in src_value.objects])
-        generator_images = tuple([action[e.label] for e in src_value.generators])
+        object_images = tuple([labels[perm[i]] for i in objects])
+        generator_images = tuple([(labels[perm[i]], sign[i]) for i in gens])
         key = (id(src_value), id(dst_value), object_images, generator_images)
         arrow = shared.get(key)
         if arrow is None:

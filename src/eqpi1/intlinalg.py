@@ -528,19 +528,20 @@ class _ChainReduction:
         return AbelianGroup(rank, tuple(ds))
 
 
-def _diagonal(a: IntMatrix) -> list:
-    """The Smith diagonal of a block.  A single entry a is its own Smith
-    form: U = (sign a) and V = (1) give U (a) V = (|a|)."""
-    if a.rows == a.cols == 1:
-        return [abs(a.data[0][0])]
+def _diagonal(a) -> list:
+    """The Smith diagonal of a block.  A 1x1 block, given as its single
+    entry a, is its own Smith form: U = (sign a) and V = (1) give
+    U (a) V = (|a|)."""
+    if isinstance(a, int):
+        return [abs(a)]
     return smith_normal_form(a).diagonal
 
 
 def _components(columns: dict) -> list:
     """The connected blocks of the row-column graph of a sparse matrix
-    {column: {row: coef}}, in the order of their least column, each as a
-    dense IntMatrix with its rows and columns sorted.  Zero rows and
-    columns belong to no block."""
+    {column: {row: coef}}, in the order of their least column: a 1x1
+    block as its single entry, any other as a dense IntMatrix with its
+    rows and columns sorted.  Zero rows and columns belong to no block."""
     users = {}
     for c, col in columns.items():
         for r in col:
@@ -551,6 +552,11 @@ def _components(columns: dict) -> list:
         if b in seen or not columns[b]:
             continue
         seen.add(b)
+        if len(columns[b]) == 1:
+            (r, x), = columns[b].items()
+            if len(users[r]) == 1:  # row r meets column b only
+                blocks.append(x)
+                continue
         block_rows, block_cols, stack = set(), [b], [b]
         while stack:
             for r in columns[stack.pop()]:

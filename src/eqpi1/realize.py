@@ -15,12 +15,15 @@ The construction runs in stages:
   5. one solid per orbit morphism, coset, and relator, whenever the image
      of the relator collapses or lands on a relator (rigid case).
 
-One builder emits every cell of stages 3 to 5 once, labelled
+One builder writes every cell of stages 3 to 5 once, labelled
 "prefix.g<rep>.suffix", in blocks: per subgroup and per orbit morphism,
-the same row of cells at every coset representative.  The group permutes
+the same row of cells at every coset representative.  A counting pass
+(plan_cells) first gives the cells per dimension, so each cell is
+written straight at its position in the complex, with its boundary
+terms over positions (GCellComplex.from_positions).  The group permutes
 copies by left translation of cosets and all cells keep orientation, so
 g sends the row at rep to the row at the representative of g*rep, cell
-for cell; merged vertices move as the 0-skeleton says.
+for cell, with sign +1; merged vertices move as the 0-skeleton says.
 
 The final verification builds the induced fixed-point functor of the
 realized complex and compares it with the input functor through the
@@ -30,6 +33,7 @@ canonical comparison maps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .functors import NaturalTransformation, OrbFunctor, _induced_functor
 from .groupoids import (
@@ -189,117 +193,177 @@ def _label(prefix: str, rep: int, suffix: str) -> str:
     return f"{prefix}.g{rep}.{suffix}"
 
 
-def _copy_word(hid: int, rep: int, w: Word, point=None) -> Word:
-    letters = tuple((_label(f"o{hid}", rep, lab), e) for lab, e in w.letters)
-    at = None
-    if not letters and point is not None:
-        at = point
-    return Word(letters, at=at)
+class CellPlan(NamedTuple):
+    counts: tuple  # the cells of the realization per dimension 0..3
+    # (index, morphism, {relator k downstairs: (j, sign) or None}) of each
+    # morphism that gets squares or solids
+    emitting: list
+    nonrigid: tuple  # (morphism string, relator index) pairs without solids
+
+
+def plan_cells(f: OrbFunctor, max_dim: int, coend: CoendResult) -> CellPlan:
+    """The builder's counting pass: the cells _build writes per dimension,
+    and which relators get solids.  Per subgroup H there are |G/H| copies
+    of each generator (edges) and relator (faces) of value(H); per orbit
+    morphism m: G/H -> G/K, |G/H| squares per generator of value(K) and,
+    at max_dim 3, |G/H| solids per relator of value(K) whose image
+    collapses or matches a relator of value(H) (its matches entry is that
+    relator and its sign, or None when it collapses)."""
+    cat = f.category
+    n_edges = n_faces = n_solids = 0
+    for hid in cat.objects:
+        copies = len(cat.transversal[hid])
+        n_edges += copies * len(f.values[hid].generators)
+        n_faces += copies * len(f.values[hid].relators)
+    emitting, nonrigid = [], []
+    for mi, m in enumerate(cat.morphisms()):
+        down = f.values[m.target]
+        matches = {}
+        for k, rel in enumerate(down.relators if max_dim >= 3 else ()):
+            reduced = cyclic_reduce_letters(f.arrows[m].apply(rel).letters)
+            match = f.values[m.source].match_relator(reduced) if reduced else None
+            if reduced and match is None:
+                nonrigid.append((str(m), k))
+            else:
+                matches[k] = match
+        if down.generators or matches:
+            copies = len(cat.transversal[m.source])
+            n_faces += copies * len(down.generators)
+            n_solids += copies * len(matches)
+            emitting.append((mi, m, matches))
+    counts = (len(coend.classes), n_edges, n_faces, n_solids)
+    return CellPlan(counts, emitting, tuple(nonrigid))
 
 
 def _build(f: OrbFunctor, max_dim: int, coend: CoendResult):
     """Stages 3 to 5 over the 0-skeleton coend: the copy cells attach to
     the classes of their objects, and each square runs from a generator's
-    copy downstairs back along its image word upstairs.  Returns the
-    complex and the nonrigid pairs."""
+    copy downstairs back along its image word upstairs.  Each cell is
+    written at its position, from the offsets of the counting pass,
+    together with its boundary terms over positions.  Returns the complex
+    and the nonrigid pairs."""
     cat = f.category
     group = cat.group
-    blocks = []  # (hid, the labels emitted at each coset rep, in transversal order)
+    plan = plan_cells(f, max_dim, coend)
+    n0, n1, n2, _ = plan.counts
+    e0, f0, s0 = n0, n0 + n1, n0 + n1 + n2
+    vertex = {lab: i for i, lab in enumerate(coend.classes)}
+    point = {trip: vertex[lab] for trip, lab in coend.point_class.items()}
+    edges, faces, solids = [], [], []
+    edge_terms, face_terms, solid_terms, anchor = [], [], [], {}
+    blocks = []  # (hid, the positions written at each coset rep, in transversal order)
+    # (hid, rep) -> the letters of its copy edges, (generator, +-1) ->
+    # ((label, +-1), (position, +-1)), and its relator copies (label, position)
+    copies = {}
 
-    def block(hid):
-        rows = [[] for _ in cat.transversal[hid]]
-        blocks.append((hid, rows))
-        return zip(cat.transversal[hid], rows)
-
-    def emit(row, prefix, r, suffix):
-        lab = _label(prefix, r, suffix)
-        row.append(lab)
-        return lab
-
-    vertex = coend.class_of
-    edges, faces, solids, nonrigid = [], [], [], []
     for hid in cat.objects:
         val = f.values[hid]
-        for r, row in block(hid):
+        if not val.generators and not val.relators:
+            continue  # no copies, as on a point
+        rows = []
+        for r in cat.transversal[hid]:
+            row, letter, rels = [], {}, []
+            at_r = _label(f"o{hid}", r, "")  # a copy's label: at_r, then its name
             for gen in val.generators:
-                edges.append(
-                    Edge(
-                        emit(row, f"o{hid}", r, gen.label),
-                        vertex(hid, r, gen.source),
-                        vertex(hid, r, gen.target),
-                    )
-                )
+                a, b = point[hid, r, gen.source], point[hid, r, gen.target]
+                lab, i = at_r + gen.label, e0 + len(edges)
+                letter[gen.label, 1] = ((lab, 1), (i, 1))
+                letter[gen.label, -1] = ((lab, -1), (i, -1))
+                row.append(i)
+                edges.append(Edge(lab, coend.classes[a], coend.classes[b]))
+                edge_terms.append(((b, 1), (a, -1)))
             for k, rel in enumerate(val.relators):
-                at = vertex(hid, r, rel.at) if not rel.letters else None
-                label = emit(row, f"o{hid}", r, f"rel{k}")
-                faces.append(Face(label, _copy_word(hid, r, rel, at)))
-    for mi, m in enumerate(cat.morphisms()):
+                lab, i = f"{at_r}rel{k}", f0 + len(faces)
+                rels.append((lab, i))
+                row.append(i)
+                if rel.letters:
+                    word, t = zip(*map(letter.__getitem__, rel.letters))
+                    faces.append(Face(lab, Word(word)))
+                else:
+                    anchor[i] = point[hid, r, rel.at]
+                    faces.append(Face(lab, Word((), at=coend.classes[anchor[i]])))
+                    t = ()
+                face_terms.append(t)
+            copies[hid, r] = letter, rels
+            rows.append(row)
+        blocks.append((hid, rows))
+    for mi, m, matches in plan.emitting:
         arrow = f.arrows[m]
         hid, kid = m.source, m.target
         down = f.values[kid]
-        matches = {}  # relator k of down -> (j, sign), or None if it collapses
-        for k, rel in enumerate(down.relators if max_dim >= 3 else ()):
-            reduced = cyclic_reduce_letters(arrow.apply(rel).letters)
-            match = f.values[hid].match_relator(reduced) if reduced else None
-            if reduced and match is None:
-                nonrigid.append((str(m), k))
-            else:
-                matches[k] = match
-        if not down.generators and not matches:
-            continue  # no square or solid at any coset
-        for r, row in block(hid):
-            ir = cat.apply(m, r)
-            for gen in down.generators:
-                img = arrow.generator_map[gen.label]
-                word = ((_label(f"o{kid}", ir, gen.label), 1),) + invert_letters(
-                    _copy_word(hid, r, img).letters
-                )
-                faces.append(
-                    Face(emit(row, f"q{mi}", r, gen.label), Word(word))
-                )
-            for k, match in matches.items():
-                chain = [(1, _label(f"o{kid}", ir, f"rel{k}"))]
+        # a square's word after its first letter: its generator's image, inverted
+        backs = [
+            (gen.label, invert_letters(arrow.generator_map[gen.label].letters))
+            for gen in down.generators
+        ]
+        # a solid's chain: its relator's copy downstairs, its match's copy
+        # upstairs and its squares, with the squares' coefficients summed
+        shapes = [
+            (k, f"r{k}", match, _chain_normal([(-e, gen) for gen, e in down.relators[k].letters]))
+            for k, match in matches.items()
+        ]
+        rows = []
+        for r in cat.transversal[hid]:
+            up, up_rels = copies[kid, cat.apply(m, r)]
+            here, here_rels = copies.get((hid, r), ({}, []))  # value(H) may have no cells
+            row, squares = [], {}
+            square_at_r, solid_at_r = _label(f"q{mi}", r, ""), _label(f"s{mi}", r, "")
+            for gen, back in backs:
+                lab, i = square_at_r + gen, f0 + len(faces)
+                squares[gen] = (lab, i)
+                row.append(i)
+                word, t = zip(up[gen, 1], *map(here.__getitem__, back))
+                faces.append(Face(lab, Word(word)))
+                face_terms.append(t)
+            for k, name, match, sq in shapes:
+                chain = [(1, *up_rels[k])]
                 if match is not None:
                     j, sign = match
-                    chain.append((-sign, _label(f"o{hid}", r, f"rel{j}")))
-                for lab, e in down.relators[k].letters:
-                    chain.append((-e, _label(f"q{mi}", r, lab)))
-                label = emit(row, f"s{mi}", r, f"r{k}")
-                solids.append(Solid(label, _chain_normal(chain)))
+                    if here_rels[j] == up_rels[k]:  # one relator copy: sum
+                        chain = [(1 - sign, *up_rels[k])] if sign != 1 else []
+                    else:
+                        chain.append((-sign, *here_rels[j]))
+                chain = sorted(chain + [(c, *squares[gen]) for c, gen in sq])
+                row.append(s0 + len(solids))
+                solids.append(Solid(solid_at_r + name,
+                                    tuple([(c, lab) for c, lab, _ in chain])))
+                solid_terms.append(tuple([(i, c) for c, _, i in chain]))
+            rows.append(row)
+        blocks.append((hid, rows))
 
-    # g sends the cells emitted at coset rep r to those emitted at the
+    # g sends the cells written at coset rep r to those written at the
     # representative of g*r, in the same order, all with sign +1; the
     # classes move as the coend says
-    labels = list(coend.classes)
-    pair = {lab: (lab, 1) for lab in labels}
-    images = {
-        g: [pair[coend.action[g][lab]] for lab in labels]
-        for g in group.elements()
-    }
+    listed = list(range(n0))
+    images = {g: [vertex[coend.action[g][lab]] for lab in coend.classes]
+              for g in group.elements()}
     for hid, rows in blocks:
-        if not rows[0]:
-            continue  # a block without cells, such as a value with no generators
-        reps = cat.transversal[hid]
-        at = {r: i for i, r in enumerate(reps)}
-        pairs = [[(lab, 1) for lab in row] for row in rows]
         for row in rows:
-            labels += row
-        coset_rep = cat.coset_rep[hid]
+            listed += row
+        reps, coset_rep = cat.transversal[hid], cat.coset_rep[hid]
+        at = {r: k for k, r in enumerate(reps)}
         for g, out in images.items():
             mul = group.table[g]
             for r in reps:
-                out += pairs[at[coset_rep[mul[r]]]]
-    action = {g: dict(zip(labels, out)) for g, out in images.items()}
-    space = GCellComplex(
-        group, coend.classes, tuple(edges), tuple(faces), tuple(solids), action
+                out += rows[at[coset_rep[mul[r]]]]
+    where = [0] * len(listed)  # position -> its place in listed
+    for k, i in enumerate(listed):
+        where[i] = k
+    perm = [list(map(out.__getitem__, where)) for out in images.values()]
+    ones = [1] * len(listed)
+    space = GCellComplex.from_positions(
+        group, coend.classes, tuple(edges), tuple(faces), tuple(solids),
+        [()] * n0 + edge_terms + face_terms + solid_terms, anchor,
+        perm, [ones] * len(perm), listed,
     )
-    return space, tuple(nonrigid)
+    return space, plan.nonrigid
 
 
 def build_space(f: OrbFunctor, max_dim: int = 3) -> RealizationResult:
-    """Realize f: the 0-skeleton coend, then one pass that emits the
-    copy cells, squares and solids over its classes (stages 3 to 5), and
-    the stage-2 diagnostic.  max_dim 2 leaves out the solids."""
+    """Realize f: the 0-skeleton coend, then a counting pass and one pass
+    that writes the copy cells, squares and solids over its classes
+    (stages 3 to 5), and the stage-2 diagnostic.  max_dim 2 leaves out
+    the solids."""
     coend = zero_skeleton_coend(f)
     space, nonrigid = _build(f, max_dim, coend)
     return RealizationResult(f, coend, space, nonrigid, verify_step2(f, coend))

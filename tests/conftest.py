@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from eqpi1 import realize
 from eqpi1.documents import parse_path
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "src", "eqpi1", "data")
@@ -37,3 +38,22 @@ def bench_inputs():
     inputs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(inputs)
     return inputs
+
+
+@pytest.fixture(scope="session", autouse=True)
+def realized_cells():
+    """Every realization that any test builds is checked against the
+    builder's counting pass: plan_cells predicts the cells per dimension
+    of the space.  Yields the predicted counts of each space checked."""
+    build, checked = realize._build, []
+
+    def checked_build(f, max_dim, coend):
+        space, nonrigid = build(f, max_dim, coend)
+        predicted = realize.plan_cells(f, max_dim, coend).counts
+        assert predicted == space.cell_counts()
+        checked.append(predicted)
+        return space, nonrigid
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(realize, "_build", checked_build)
+        yield checked

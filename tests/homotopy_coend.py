@@ -11,7 +11,15 @@ not.  The tests compare the two in degree 3 and pin its cell counts.
 
 from eqpi1.complexes import Edge, Face, GCellComplex, Solid, _chain_normal
 from eqpi1.groupoids import Word, cyclic_reduce_letters, invert_letters
-from eqpi1.realize import _copy_word, _label
+from eqpi1.realize import _label
+
+
+def _copy_word(hid: int, rep: int, w: Word, point=None) -> Word:
+    letters = tuple((_label(f"o{hid}", rep, lab), e) for lab, e in w.letters)
+    at = None
+    if not letters and point is not None:
+        at = point
+    return Word(letters, at=at)
 
 
 def build_homotopy_coend(f, max_dim=3) -> GCellComplex:

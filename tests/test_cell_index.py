@@ -4,9 +4,10 @@ GCellComplex builds one index per complex when it is constructed: every
 cell at a position (vertices, edges, faces, solids, each in order), per
 cell its boundary terms over those positions, per element a permutation
 and a sign list of those positions, and per cell the bitmask of the
-elements that fix it with sign +1.  Building it checks the cells and the
-action, with the refusal messages of the former label-keyed checks,
-pinned below and in tests/test_complexes.py.  The boundary matrices read
+elements that fix it with sign +1.  Both ways of making a complex, the
+dict front end and GCellComplex.from_positions, end in the one check
+that builds it; it refuses with the messages of the former label-keyed
+checks, pinned below and in tests/test_complexes.py.  The boundary matrices read
 the stored terms; they are compared with the former label-keyed
 construction in tests/naive_boundaries.py.  GCellComplex._open_face walks
 the stored face and edge terms; it is compared with the label walk of
@@ -232,25 +233,33 @@ def test_construction_refusals_keep_their_messages(group, action, message):
 
 
 def test_cell_index_is_built_once(bench_inputs, monkeypatch):
-    # one cone C6 pipeline indexes one complex, the realized space: the
-    # induced functors of the cone and of the space read their fixed sets
-    # as masks over the index they already have
+    # one cone C6 pipeline indexes one complex, the realized space, which
+    # the builder writes over positions: the dict front end never runs,
+    # and the induced functors of the cone and of the space read their
+    # fixed sets as masks over the index they already have
     (x,) = parse_document(bench_inputs.cone(6, 0)).complexes.values()
-    builds = []
-    build = complexes._cell_index
+    translations, checks = [], []
+    translate, check = complexes._dict_index, complexes._checked_index
 
-    def counted_build(y):
-        builds.append(y)
-        return build(y)
+    def counted_translate(*args, **kwargs):
+        translations.append(args)
+        return translate(*args, **kwargs)
 
-    monkeypatch.setattr(complexes, "_cell_index", counted_build)
+    def counted_check(*args, **kwargs):
+        checks.append(check(*args, **kwargs))
+        return checks[-1]
+
+    monkeypatch.setattr(complexes, "_dict_index", counted_translate)
+    monkeypatch.setattr(complexes, "_checked_index", counted_check)
     f = induced_functor_from_complex(x, family_all(x.group))
     result = build_space(f)
     space = result.space
     assert space.cell_counts() == (7, 72, 468, 216)
     assert validate_complex(space).status == VERIFIED
     assert verify_fundamental_functor(f, result).combined.status == VERIFIED
-    assert len(builds) == 1 and builds[0] is space
+    assert translations == []
+    assert len(checks) == 1 and checks[0] is space._index
+    assert "action" not in vars(space)  # the action view is never built
 
 
 def test_chain_check_multiplies_once(bench_inputs, monkeypatch):

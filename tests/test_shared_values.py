@@ -291,12 +291,14 @@ def test_a_refuting_square_on_the_realized_s4_loops_is_cheap(cases, monkeypatch)
     bad = NaturalTransformation(
         corrupt(eta.source, m, "invert", "a"), eta.target, eta.components
     )
-    blocks, shapes = [], []
+    blocks, singles, shapes = [], [], []
     components, smith = intlinalg._components, intlinalg.smith_normal_form
 
     def recording_components(columns):
         out = components(columns)
-        blocks.extend((a.rows, a.cols) for a in out)
+        # a 1x1 block comes as its entry; any other is densified
+        singles.extend(a for a in out if isinstance(a, int))
+        blocks.extend((a.rows, a.cols) for a in out if not isinstance(a, int))
         return out
 
     def recording_smith(a):
@@ -308,7 +310,8 @@ def test_a_refuting_square_on_the_realized_s4_loops_is_cheap(cases, monkeypatch)
     v = bad.naturality()
     assert (v.status, v.level) == (REFUTED, LEVEL_ABELIANIZED)
     assert (v.witness["at"], v.witness["generator"]) == ("H0->H10:g1", "a")
-    rows, cols = max(r for r, _ in blocks), max(c for _, c in blocks)
+    assert singles
+    rows, cols = max((r for r, _ in blocks), default=1), max((c for _, c in blocks), default=1)
     assert (rows, cols) == (1, 1)
     assert len(shapes) <= 2
     assert all(r <= rows and c <= cols for r, c in shapes)
