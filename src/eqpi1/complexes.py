@@ -232,6 +232,7 @@ def _checked_index(group, labels, counts, terms, anchor, rows, order=None) -> Ce
     # the positions of each dimension that has cells
     spans = [(lo, hi) for lo, hi in zip(start, start[1:]) if lo < hi]
     perm, sign, stab, flipped = [], [], [0] * n, None
+    ident = list(range(n))
     for g in group.elements():
         row, signs = next(rows, (None, None))
         if row is None:
@@ -257,6 +258,9 @@ def _checked_index(group, labels, counts, terms, anchor, rows, order=None) -> Ce
         perm.append(row)
         sign.append(signs)
         bit = 1 << g
+        if row == ident and signs.count(1) == n:  # it fixes every cell
+            stab = [s | bit for s in stab]
+            continue
         for i in compress(range(n), map(eq, row, range(n))):
             if signs[i] == 1:
                 stab[i] |= bit
@@ -523,30 +527,3 @@ def fundamental_groupoid(x: GCellComplex) -> PresentedGroupoid:
         tuple(f.word for f in x.faces),
     )
 
-
-class UnionFind:
-    """Disjoint sets of hashable, ordered keys; the smaller root wins a union."""
-
-    def __init__(self):
-        self.parent = {}
-
-    def add(self, x):
-        self.parent.setdefault(x, x)
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        # the smaller label wins, so representatives are deterministic
-        if rb < ra:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        return True

@@ -234,15 +234,20 @@ def validate_functoriality(f: OrbFunctor) -> Verdict:
     composable pair is compared, beta-major in morphisms() order, so a
     refutation names the first failing pair and a weaker verdict keeps
     its level."""
-    cat = f.category
+    cat, values, arrows = f.category, f.values, f.arrows
     for hid in cat.objects:
-        if hid not in f.values:
+        if hid not in values:
             return Verdict.refuted({"check": "value missing", "id": hid}, LEVEL_SYNTACTIC)
     for m in cat.morphisms():
-        if m not in f.arrows:
+        if m not in arrows:
             return Verdict.refuted({"check": "arrow missing", "at": str(m)}, LEVEL_SYNTACTIC)
-        t = f.arrows[m]
-        if t.source != f.values[m.target] or t.target != f.values[m.source]:
+        t = arrows[m]
+        # a shared value is its own endpoint: identity first, since
+        # dataclass equality builds the field tuples of both sides
+        source, target = values[m.target], values[m.source]
+        if (t.source is not source and t.source != source) or (
+            t.target is not target and t.target != target
+        ):
             return Verdict.refuted(
                 {"check": "arrow endpoints", "at": str(m)}, LEVEL_SYNTACTIC
             )
@@ -342,26 +347,25 @@ class NaturalTransformation:
         return first_refuted(self._squares())
 
     def _squares(self):
-        """(context, verdict) of the square of each m: G/H -> G/K in
-        morphisms() order: is eta_H after F(m) the same arrow as G(m)
-        after eta_K?  The left side is built, the right is not.  Each
-        distinct tuple of components and arrows is compared once, and a
-        square's context is built only if it refutes."""
+        """(context, verdict) of the square of each distinct tuple of
+        components and arrows, at its first m: G/H -> G/K in morphisms():
+        is eta_H after F(m) the same arrow as G(m) after eta_K?  The left
+        side is built, the right is not.  A later m with that tuple has the
+        same verdict, so the first refuted or undecided m is a first one."""
         comps, f_arrows, g_arrows = (
             self.components, self.source.arrows, self.target.arrows
         )
-        seen = {}
+        seen = set()
         for m in self.source.category.morphisms():
             c_h, f_m = comps[m.source], f_arrows[m]
             c_k, g_m = comps[m.target], g_arrows[m]
             key = (id(c_h), id(f_m), id(c_k), id(g_m))
-            v = seen.get(key)
-            if v is None:
-                left = compose_morphisms(c_h, f_m)
-                check_composable(g_m, c_k)
-                v = seen[key] = _same_as_composite(left, c_k, g_m)
-            yield partial(_square_context, m), v
-
-
-def _square_context(m: OrbitMorphism) -> dict:
-    return {"check": "naturality square", "at": str(m)}
+            if key in seen:
+                continue
+            seen.add(key)
+            left = compose_morphisms(c_h, f_m)
+            check_composable(g_m, c_k)
+            yield (
+                {"check": "naturality square", "at": str(m)},
+                _same_as_composite(left, c_k, g_m),
+            )

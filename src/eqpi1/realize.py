@@ -33,6 +33,8 @@ canonical comparison maps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 from typing import NamedTuple
 
 from .functors import NaturalTransformation, OrbFunctor, _induced_functor
@@ -44,7 +46,7 @@ from .groupoids import (
     invert_letters,
     strict_isomorphism_report,
 )
-from .complexes import Edge, Face, GCellComplex, Solid, UnionFind, _chain_normal
+from .complexes import Edge, Face, GCellComplex, Solid, _chain_normal
 from .verdicts import Verdict, combine
 
 
@@ -82,65 +84,79 @@ def zero_skeleton_coend(f: OrbFunctor) -> CoendResult:
 
     The relation is G-invariant: m is a G-map, m(rH) = r m(H), so the pairs
     m adds at rH are the r-translates of those it adds at the identity
-    coset.  Each morphism is either unioned at every coset, which adds a
+    coset.  Each morphism is either joined at every coset, which adds a
     whole orbit of pairs, or skipped, so the partition stays G-invariant
     throughout.  A morphism whose identity-coset pairs are already joined
     therefore has every translate joined too and is skipped.  The classes
     are those of the full relation, whatever laws f satisfies; they are
-    ordered by their least member (subgroup id, coset rep, object index)."""
+    ordered by their least member (subgroup id, coset rep, object index).
+
+    The points are numbered in that order, so the least number of a class
+    is its least member; the classes are kept in a parent list whose roots
+    are those least numbers.  The morphisms are walked hom-set by hom-set,
+    and the pairs of object numbers an arrow joins are listed once in
+    each hom-set that shares it."""
     cat = f.category
     group = cat.group
-    merge = UnionFind()
-    obj_index = {}
-    for hid in cat.objects:
-        val = f.values[hid]
-        obj_index[hid] = {x: i for i, x in enumerate(val.objects)}
+    table = group.table
+    points, start = [], {}  # start[hid][g]: the first point at the coset gH
+    for hid in sorted(cat.objects):
+        objects = f.values[hid].objects
+        first = {}
         for r in cat.transversal[hid]:
-            for x in val.objects:
-                merge.add((hid, r, x))
-    for m in cat.morphisms():
-        arrow = f.arrows[m]  # value(target) -> value(source)
-        objects = f.values[m.target].objects
-        base = cat.coset_rep[m.source][group.identity]
-        ir = cat.apply(m, base)
-        if all(
-            merge.find((m.target, ir, x))
-            == merge.find((m.source, base, arrow.object_map[x]))
-            for x in objects
-        ):
-            continue
-        for r in cat.transversal[m.source]:
-            ir = cat.apply(m, r)
-            for x in objects:
-                merge.union(
-                    (m.target, ir, x), (m.source, r, arrow.object_map[x])
-                )
-    groups_of = {}
-    for key in merge.parent:
-        groups_of.setdefault(merge.find(key), []).append(key)
+            first[r] = len(points)
+            points += [(hid, r, x) for x in objects]
+        start[hid] = [first[r] for r in cat.coset_rep[hid]]
+    parent = list(range(len(points)))
 
-    def member_key(trip):
-        hid, rep, x = trip
-        return (hid, rep, obj_index[hid][x])
+    def find(p):
+        while parent[p] != p:
+            parent[p] = p = parent[parent[p]]  # path halving
+        return p
 
-    ordered = sorted(
-        (sorted(v, key=member_key) for v in groups_of.values()),
-        key=lambda mem: member_key(mem[0]),
-    )
-    classes = tuple(f"x{i}" for i in range(len(ordered)))
-    members = {lab: tuple(mem) for lab, mem in zip(classes, ordered)}
-    point_class = {}
-    for lab, mem in members.items():
-        for trip in mem:
-            point_class[trip] = lab
+    unit = group.identity
+    for (hid, kid), ms in groupby(cat.morphisms(), itemgetter(0, 1)):
+        to_k, to_h = start[kid], start[hid]
+        base = cat.coset_rep[hid][unit]
+        times_base, h0 = table[base], to_h[base]
+        objects, number = f.values[kid].objects, f.values[hid]._obj_index
+        pairs_of = {}  # id(arrow) -> (object number in value(K), its image's in value(H))
+        for m in ms:
+            arrow = f.arrows[m]  # value(K) -> value(H)
+            pairs = pairs_of.get(id(arrow))
+            if pairs is None:
+                images = arrow.object_map
+                pairs = pairs_of[id(arrow)] = [
+                    (i, number[images[x]]) for i, x in enumerate(objects)
+                ]
+            s = m.representative
+            k0 = to_k[times_base[s]]
+            for i, j in pairs:
+                if find(k0 + i) != find(h0 + j):
+                    break
+            else:
+                continue  # joined at the identity coset, so at every coset
+            for r in cat.transversal[hid]:
+                k, h = to_k[table[r][s]], to_h[r]
+                for i, j in pairs:
+                    ri, rj = find(k + i), find(h + j)
+                    parent[max(ri, rj)] = min(ri, rj)  # the least point is the root
+    grouped, root_of = {}, []  # root -> the triples of its class, in point order
+    for p, trip in enumerate(points):
+        root = find(p)
+        root_of.append(root)
+        grouped.setdefault(root, []).append(trip)
+    classes = tuple(f"x{i}" for i in range(len(grouped)))
+    label = dict(zip(grouped, classes))
+    members = {lab: tuple(mem) for lab, mem in zip(classes, grouped.values())}
+    point_class = {trip: lab for lab, mem in members.items() for trip in mem}
+    # g moves a class's least point p, at the coset rH, to the point of the
+    # same object at the coset (g r)H
+    firsts = [(p, start[points[p][0]], points[p][1]) for p in grouped]
     action = {}
     for g in group.elements():
-        table = {}
-        for lab, mem in members.items():
-            hid, rep, x = mem[0]
-            moved = cat.coset_rep[hid][group.mul(g, rep)]
-            table[lab] = point_class[(hid, moved, x)]
-        action[g] = table
+        row = table[g]
+        action[g] = {label[p]: label[root_of[at[row[r]] + p - at[r]]] for p, at, r in firsts}
     return CoendResult(classes, members, point_class, action)
 
 

@@ -1,13 +1,42 @@
 """The former 0-skeleton coend, kept as a test oracle.
 
-`naive_zero_skeleton_coend` unions every orbit morphism at every coset.
-`zero_skeleton_coend` in `eqpi1.realize` skips a morphism whose pairs at
-the identity coset are already joined; the tests require the same
-classes, members, point classes and action.
+`naive_zero_skeleton_coend` unions every orbit morphism at every coset,
+in a union-find keyed by the (subgroup id, coset rep, object) triples.
+`zero_skeleton_coend` in `eqpi1.realize` numbers those triples, keeps
+their classes in a parent list and skips a morphism whose pairs at the
+identity coset are already joined; the tests require the same classes,
+members, point classes and action.
 """
 
-from eqpi1.complexes import UnionFind
 from eqpi1.realize import CoendResult
+
+
+class UnionFind:
+    """Disjoint sets of hashable, ordered keys; the smaller root wins a union."""
+
+    def __init__(self):
+        self.parent = {}
+
+    def add(self, x):
+        self.parent.setdefault(x, x)
+
+    def find(self, x):
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, a, b) -> bool:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        # the smaller label wins, so representatives are deterministic
+        if rb < ra:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        return True
 
 
 def naive_zero_skeleton_coend(f) -> CoendResult:

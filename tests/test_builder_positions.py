@@ -9,7 +9,9 @@ must send each copy cell prefix.g<rep>.suffix to the copy at the
 representative of g*rep.  The digests pin the action tables in insertion
 order, the cell labels and the homology strings of every realization
 below as they were when the builder still wrote label dicts.  Arrays
-corrupted at one entry are refused with the message that names it.
+corrupted at one entry are refused with the message that names it.  The
+stabilizer masks and the first flipped cell equal those of the
+cell-by-cell loop, also when the identity's row flips or moves a cell.
 conftest.py checks every realization that any test builds against
 `plan_cells`.
 """
@@ -126,6 +128,28 @@ def test_every_realization_matches_its_predicted_cells(realized_cells, bench_inp
     assert realized_cells[before:] == [(7, 72, 468, 0), (7, 72, 468, 216)]
 
 
+def loop_marks(idx, elements):
+    """(stab, flipped) as the cell-by-cell loop computes them: bit g of
+    stab[i] when g fixes cell i with sign +1, and the first (g, i) that
+    fixes cell i with sign -1."""
+    stab, flipped = [0] * len(idx.labels), None
+    for g, row, signs in zip(elements, idx.perm, idx.sign):
+        for i, j in enumerate(row):
+            if j == i and signs[i] == 1:
+                stab[i] |= 1 << g
+            elif j == i and flipped is None:
+                flipped = (g, i)
+    return stab, flipped
+
+
+def test_stabilizers_equal_the_loop(functors):
+    for f in functors:
+        for max_dim in (2, 3):
+            x = build_space(f, max_dim).space
+            idx = x._index
+            assert (idx.stab, idx.flipped) == loop_marks(idx, x.group.elements())
+
+
 @pytest.fixture(scope="module")
 def cone(bench_inputs):
     """The realized cone C3: its complex and its arrays, to corrupt."""
@@ -180,3 +204,25 @@ def test_array_refusals(cone, kind):
     with pytest.raises(InvalidComplex) as e:
         corrupted(cone, field, i, value, g)
     assert str(e.value) == message
+
+
+@pytest.mark.parametrize("change", ["flip an edge", "swap two edges"])
+def test_an_identity_that_does_not_fix_every_cell(cone, change):
+    # the identity's row is no longer range(n) with signs +1, so its bit
+    # is set cell by cell
+    idx = cone._index
+    _, e0, _, _, _ = idx.start
+    unit = cone.group.identity
+    perm, sign = [list(p) for p in idx.perm], [list(s) for s in idx.sign]
+    if change == "flip an edge":
+        sign[unit][e0] = -1
+    else:
+        perm[unit][e0], perm[unit][e0 + 1] = e0 + 1, e0
+    y = GCellComplex.from_positions(
+        cone.group, cone.vertices, cone.edges, cone.faces, cone.solids,
+        idx.terms, idx.anchor, perm, sign, cone._listed,
+    )
+    stab, flipped = loop_marks(y._index, y.group.elements())
+    assert (y._index.stab, y._index.flipped) == (stab, flipped)
+    assert not stab[e0] >> unit & 1
+    assert flipped == ((unit, e0) if change == "flip an edge" else None)

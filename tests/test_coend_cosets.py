@@ -16,7 +16,6 @@ from naive_coend import naive_zero_skeleton_coend
 from test_action_generators import s3_triangle
 from test_law_generators import corrupt, corruptions, s4_swapped_loops
 
-from eqpi1.complexes import UnionFind
 from eqpi1.documents import parse_document, parse_path
 from eqpi1.functors import induced_functor_from_complex, validate_functoriality
 from eqpi1.groups import family_all
@@ -128,16 +127,30 @@ def test_corrupted_object_maps_match_the_oracle(functors, corruptible, data):
     same_coend(f)
 
 
+class CountedReads(dict):
+    """A dict that counts the reads of each key."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+
 def test_unions_are_few_on_s4(functors, monkeypatch):
-    # the union over every morphism and coset makes 10,359 calls; the
-    # identity-coset check leaves 32 of 714 morphisms to union
-    calls = []
-    union = UnionFind.union
-
-    def counted(self, a, b):
-        calls.append((a, b))
-        return union(self, a, b)
-
-    monkeypatch.setattr(UnionFind, "union", counted)
-    zero_skeleton_coend(functors["s4-point"])
-    assert len(calls) <= 1000
+    # the coend reads an object's transversal once to number its points,
+    # and once more for each morphism it joins at every coset; joining
+    # them all would read it 714 more times, the identity-coset check
+    # leaves 32
+    f = functors["s4-point"]
+    cat = f.category
+    reads = CountedReads(cat.transversal)
+    monkeypatch.setattr(cat, "transversal", reads)
+    got = zero_skeleton_coend(f)
+    joined = reads.reads - len(cat.objects)
+    monkeypatch.undo()
+    assert coend_view(got) == coend_view(naive_zero_skeleton_coend(f))
+    assert len(cat.morphisms()) == 714
+    assert 0 < joined <= 50

@@ -1,5 +1,6 @@
 import pytest
 from naive_arrow_compare import _same_morphism, naive_naturality
+from naive_laws import naive_validate_functoriality
 
 from eqpi1.complexes import (
     Edge,
@@ -35,7 +36,7 @@ from eqpi1.groups import (
     trivial_group,
 )
 from eqpi1.orbit import OrbitCategory
-from eqpi1.verdicts import VERIFIED
+from eqpi1.verdicts import REFUTED, VERIFIED
 
 
 def circle_groupoid():
@@ -153,6 +154,35 @@ def test_validate_arrow_endpoints():
     f = OrbFunctor(cat, {0: circ}, wrong)
     v = validate_functoriality(f)
     assert v.is_refuted and v.witness["check"] == "arrow endpoints"
+
+
+def test_arrow_endpoints_compare_by_value():
+    # the scan tests identity before equality: an arrow whose endpoint is
+    # an equal copy of the value passes, an unequal one is refuted at the
+    # morphism where the value-by-value scan refutes it
+    z2 = cyclic_group(2)
+    cat = OrbitCategory(z2, family_all(z2))
+    circ, point = circle_groupoid(), point_groupoid()
+    proj = find_morphism(cat, "H0->H1:g0")
+    f = make_functor(
+        cat,
+        {0: circ, 1: point},
+        {find_morphism(cat, "H0->H0:g1"): flip_on(circ),
+         proj: GroupoidMorphism(point, circ, {"u": "u"}, {})},
+    )
+    copies = point_groupoid(), circle_groupoid()
+    assert copies == (point, circ) and copies[0] is not point and copies[1] is not circ
+    for source, target, status in (
+        (*copies, VERIFIED),
+        (PresentedGroupoid(("w",), (), ()), circ, REFUTED),
+        (point, PresentedGroupoid(("u", "w"), (Gen("x", "u", "u"),), ()), REFUTED),
+    ):
+        arrow = GroupoidMorphism(source, target, {x: "u" for x in source.objects}, {})
+        g = OrbFunctor(cat, f.values, {**f.arrows, proj: arrow})
+        v = validate_functoriality(g)
+        assert v.status == status
+        assert str(v) == str(naive_validate_functoriality(g))
+    assert v.witness == {"check": "arrow endpoints", "at": str(proj)}
 
 
 def test_induced_functors_from_documents(torus_doc, reflection_doc, free_doc):

@@ -10,7 +10,8 @@ the same status, witness and level.  The inputs are the S4 point, the S4
 swapped loops, the S3 triangle, the cones C2..C6 with and without Z/3
 loops, the complexes of the shipped documents, and the corruptions of
 tests/test_law_generators.py, applied to a copy of one arrow or component
-that other morphisms or subgroups still share.
+that other morphisms or subgroups still share, or to every morphism that
+shares an arrow.
 """
 
 import pytest
@@ -33,6 +34,7 @@ from eqpi1 import functors, intlinalg, realize
 from eqpi1.documents import parse_document, parse_path
 from eqpi1.functors import (
     NaturalTransformation,
+    OrbFunctor,
     induced_functor_from_complex,
     validate_functoriality,
 )
@@ -242,6 +244,39 @@ def test_corrupted_squares_refute_where_the_unshared_ones_do(cases):
             refuted += got[0] == REFUTED
             shared += was_shared and got[0] == REFUTED
     assert refuted > 20 and shared > 10
+
+
+def test_one_square_per_tuple_equals_every_square_on_s4(cases):
+    for name in ("s4-point", "s4-loops"):
+        eta = cases[name].eta
+        assert str(eta.naturality()) == str(naive_naturality(eta)), name
+
+
+def test_a_corrupted_arrow_shared_by_several_morphisms_is_named_at_the_first(cases):
+    # the one corrupted copy replaces the arrow at every morphism that
+    # shared it, so those squares have one tuple: it is compared once, at
+    # the first of them in morphisms() order, and the witness names it.
+    # A relator put in front of an image verifies, through seconds of
+    # word-problem work, so that kind is left out
+    eta = cases["s4-loops"].eta
+    f = eta.source
+    refuted = 0
+    for ms in holders(f.arrows).values():
+        if len(ms) < 2:
+            continue
+        options = corruptions(f.arrows[ms[0]])
+        for kind in ("invert", "object"):
+            if kind not in options:
+                continue
+            bad = corrupted_arrow(f.arrows[ms[0]], kind, *options[kind][0])
+            g = OrbFunctor(f.category, f.values, {**f.arrows, **dict.fromkeys(ms, bad)})
+            broken = NaturalTransformation(g, eta.target, eta.components)
+            got = outcome(broken.naturality)
+            assert got == outcome(lambda: naive_naturality(broken)), (str(ms[0]), kind)
+            if got[0] == REFUTED:
+                assert got[1]["at"] == str(ms[0])
+                refuted += 1
+    assert refuted == 4
 
 
 def test_s4_point_work_counts(bench_inputs, monkeypatch):
